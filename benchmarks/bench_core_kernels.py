@@ -45,7 +45,7 @@ def test_tail_excess_all_buses_kernel(benchmark):
 
 
 def test_binomial_pmf_grid_kernel(benchmark):
-    """256 rate rows of Binomial(2048, p) in one broadcast gammaln pass."""
+    """256 rate rows of Binomial(2048, p) from one log-coefficient row."""
     ps = np.linspace(0.001, 0.999, 256)
     grid = benchmark(binomial_pmf_grid, 2048, ps)
     assert grid.shape == (256, 2049)

@@ -14,7 +14,7 @@ from a single cached pmf:
   :func:`bandwidth_single_batch` / :func:`bandwidth_kclass_batch` — the
   four schemes' closed forms over a vector of bus counts.
 * :func:`binomial_pmf_grid` — the 2-D ``(rate, count)`` pmf matrix for a
-  vector of request probabilities, one broadcast ``gammaln`` evaluation.
+  vector of request probabilities, broadcast from one log-coefficient row.
 * :func:`scheme_bus_profile` — the dispatch facade mirroring
   :func:`repro.analysis.evaluate.analytic_bandwidth` (homogeneous and
   heterogeneous paths) for a whole bus-count vector, without building a
@@ -32,10 +32,9 @@ import dataclasses
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.analysis.evaluate import analytic_bandwidth
-from repro.core.binomial import validate_probability
+from repro.core.binomial import log_binomial_coefficients, validate_probability
 from repro.core.cache import cached_binomial_pmf, cached_poisson_binomial_pmf
 from repro.core.kclasses import bandwidth_kclass, class_request_pmfs
 from repro.core.priority import (
@@ -101,7 +100,7 @@ def binomial_pmf_grid(n: int, ps: Sequence[float]) -> np.ndarray:
 
     Row ``k`` equals ``binomial_pmf(n, ps[k])``: the same log-space
     evaluation, broadcast over the probability vector so a rate sweep
-    costs one ``gammaln`` pass instead of one per rate.
+    builds one :func:`~repro.core.binomial.log_binomial_coefficients` row.
     """
     if n < 0:
         raise ConfigurationError(f"n must be non-negative, got {n}")
@@ -115,7 +114,7 @@ def binomial_pmf_grid(n: int, ps: Sequence[float]) -> np.ndarray:
     interior = (ps > 0.0) & (ps < 1.0)
     if np.any(interior):
         p = ps[interior][:, None]
-        log_comb = gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
+        log_comb = log_binomial_coefficients(n)
         log_pmf = log_comb + i * np.log(p) + (n - i) * np.log1p(-p)
         rows = np.exp(log_pmf)
         grid[interior] = rows / rows.sum(axis=1, keepdims=True)

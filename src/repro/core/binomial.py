@@ -5,8 +5,9 @@ sums over binomial probability mass functions.  For the machine sizes the
 paper evaluates (``N`` up to 32) naive evaluation is fine, but the library
 supports parameter sweeps into the thousands of processors, where
 ``C(N, i) X**i (1 - X)**(N - i)`` overflows/underflows when computed
-directly.  Everything here therefore works in log space via
-``scipy.special.gammaln``.
+directly.  Everything here therefore works in log space, from one cached
+table of log-factorials ``log(k!) = math.lgamma(k + 1)`` shared by the
+scalar pmf and the batched grid in :mod:`repro.analysis.batch`.
 
 The Poisson-binomial variant generalizes the paper's analysis to
 *heterogeneous* per-module request probabilities (each module ``j`` has its
@@ -17,14 +18,16 @@ symmetric — an extension the paper sidesteps by symmetry arguments.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.exceptions import ConfigurationError, ModelError
 
 __all__ = [
+    "log_factorials",
+    "log_binomial_coefficients",
     "binomial_pmf",
     "poisson_binomial_pmf",
     "expected_capped",
@@ -52,6 +55,37 @@ def validate_probability(p: float, name: str = "p") -> float:
     return p
 
 
+_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """Return ``log(k!) = math.lgamma(k + 1)`` for ``k = 0..n``, read-only.
+
+    Every call returns a view of one process-wide table grown by doubling.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size <= n:
+        size = max(n + 1, 2 * table.size)
+        table = np.array([math.lgamma(k + 1) for k in range(size)])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[: n + 1]
+
+
+def log_binomial_coefficients(n: int) -> np.ndarray:
+    """Return ``log C(n, i)`` for ``i = 0..n``.
+
+    >>> np.round(np.exp(log_binomial_coefficients(4)), 9)
+    array([1., 4., 6., 4., 1.])
+    """
+    if n < 0:
+        raise ConfigurationError(f"n must be non-negative, got {n}")
+    table = log_factorials(n)
+    return table[n] - table - table[::-1]
+
+
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """Return the full pmf vector of ``Binomial(n, p)`` with length ``n + 1``.
 
@@ -75,7 +109,7 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
         pmf[n] = 1.0
         return pmf
     i = np.arange(n + 1)
-    log_comb = gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
+    log_comb = log_binomial_coefficients(n)
     log_pmf = log_comb + i * np.log(p) + (n - i) * np.log1p(-p)
     pmf = np.exp(log_pmf)
     # Normalize away the accumulated rounding so downstream tail sums are

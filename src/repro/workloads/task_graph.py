@@ -12,11 +12,14 @@ to *derive* hierarchical request fractions instead of assuming them.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ModelError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TaskGraph", "clustered_task_graph"]
 
@@ -109,6 +112,8 @@ def clustered_task_graph(
     ):
         if not 0.0 <= p <= 1.0:
             raise ModelError(f"{name} must be a probability, got {p}")
+
+    import networkx as nx
 
     rng = np.random.default_rng(seed)
     communities = tuple(t % n_communities for t in range(n_tasks))
