@@ -3,17 +3,13 @@
 Drives the :class:`~repro.service.engine.QueryEngine` (and the full
 HTTP front-end) with a Zipf-distributed query mix — a few hot machine
 shapes dominating a long tail, the shape a public bandwidth-query
-endpoint would see — and records four phases to ``BENCH_service.json``:
+endpoint would see — and records these phases to ``BENCH_service.json``:
 
 * **throughput** — a sequential stream of requests answered by the
   engine vs the naive baseline that rebuilds the model, the network
   and the pmf for every request (one computation per request, no
   sharing).  Asserts the >= 5x speedup floor; typical machines land
   orders of magnitude above it thanks to the result LRU.
-* **surfaces** — the same stream served from pre-materialized
-  shared-memory bandwidth surfaces (tier zero ahead of the LRU).
-  Every request is answered by an O(1) arena lookup, so the floor is
-  much higher: asserts >= 25x over the naive loop.
 * **http_latency** — concurrent keep-alive clients over a real
   loopback socket, reporting p50/p95 per-request latency.
 * **coalescing** — concurrent identical bursts against a cache-less
@@ -172,79 +168,6 @@ def test_engine_throughput_vs_naive_loop():
     assert speedup >= 5, (
         f"engine {engine_seconds:.3f}s vs naive {naive_seconds:.3f}s: "
         f"only {speedup:.1f}x (floor 5x; see {RESULT_PATH.name})"
-    )
-
-
-def test_surfaces_throughput_vs_naive_loop(tmp_path):
-    from repro.surfaces import LocalArena, SurfaceArena, SurfaceStore, signature_of
-
-    universe = _query_universe()
-    # Parsing is identical on both sides, so this phase streams
-    # pre-parsed queries and measures pure serving: an O(1) arena read
-    # vs a full model + network + pmf rebuild per request.
-    stream = [parse_query(p) for p in _zipf_stream(universe, REQUESTS)]
-
-    start = time.perf_counter()
-    naive = _naive_serve_queries(stream)
-    naive_seconds = time.perf_counter() - start
-
-    # Precompute: one surface per distinct model signature on a coarse
-    # dyadic grid (the universe rates 0.5 and 1.0 are gridpoints), in a
-    # real shared-memory arena when the platform has one.
-    if Path("/dev/shm").is_dir():
-        arena = SurfaceArena(prefix=f"repro-bench-{tmp_path.name.lower()}")
-    else:
-        arena = LocalArena()
-    store = SurfaceStore(arena=arena, rate_divisions=4)
-    signatures = {signature_of(q) for q in stream}
-    start = time.perf_counter()
-    for signature in sorted(signatures, key=lambda s: s.short()):
-        store.materialize(signature)
-    materialize_seconds = time.perf_counter() - start
-
-    # Telemetry stays at its (opt-in) default — off — on both sides, so
-    # the phase measures pure serving; hits are asserted from response
-    # sources instead of counters.
-    engine = QueryEngine(surfaces=store)
-    latencies = []
-
-    async def serve():
-        responses = []
-        for query in stream:
-            t0 = time.perf_counter()
-            response = await engine.execute(query)
-            latencies.append(time.perf_counter() - t0)
-            responses.append(response)
-        return responses
-
-    start = time.perf_counter()
-    responses = asyncio.run(serve())
-    engine_seconds = time.perf_counter() - start
-    engine.close()
-    store.unlink_all()
-
-    for naive_value, response in zip(naive, responses):
-        assert abs(naive_value - response.value) <= 1e-9
-
-    speedup = naive_seconds / engine_seconds
-    surface_hits = sum(1 for r in responses if r.source == "surface")
-    section = {
-        "naive_seconds": round(naive_seconds, 4),
-        "engine_seconds": round(engine_seconds, 4),
-        "speedup": round(speedup, 1),
-        "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 4),
-        "p95_ms": round(_percentile(latencies, 0.95) * 1e3, 4),
-        "surface_hit_rate": round(surface_hits / REQUESTS, 4),
-        "signatures": len(signatures),
-        "materialize_seconds": round(materialize_seconds, 4),
-        "arena": type(arena).__name__,
-    }
-    _report_section("surfaces", section)
-    print(f"\nservice surfaces: {json.dumps(section)}")
-    assert surface_hits == REQUESTS  # every request surface-served
-    assert speedup >= 25, (
-        f"surfaces {engine_seconds:.3f}s vs naive {naive_seconds:.3f}s: "
-        f"only {speedup:.1f}x (floor 25x; see {RESULT_PATH.name})"
     )
 
 

@@ -38,10 +38,6 @@ Package map:
   LRU, in-flight request coalescing, per-tick micro-batching into the
   whole-grid kernels, token-bucket admission control and an HTTP
   front-end (``repro-serve``).
-* :mod:`repro.surfaces` — materialized bandwidth surfaces published in
-  a versioned shared-memory arena: zero-copy tier-zero lookups for the
-  service, hot-signature refresh, and arena attachment for sweep
-  workers.
 """
 
 from repro.analysis import (
@@ -147,17 +143,6 @@ from repro.simulation import (
     SimulationResult,
     simulate_bandwidth,
 )
-from repro.surfaces import (
-    LocalArena,
-    Surface,
-    SurfaceArena,
-    SurfaceRefresher,
-    SurfaceSignature,
-    SurfaceStore,
-    default_rate_grid,
-    materialize_surface,
-    signature_of,
-)
 from repro.topology import (
     CrossbarNetwork,
     FullBusMemoryNetwork,
@@ -251,16 +236,6 @@ __all__ = [
     "TokenBucket",
     "AdmissionController",
     "BandwidthService",
-    # surfaces
-    "SurfaceSignature",
-    "Surface",
-    "SurfaceArena",
-    "LocalArena",
-    "SurfaceStore",
-    "SurfaceRefresher",
-    "signature_of",
-    "default_rate_grid",
-    "materialize_surface",
     # analysis
     "bandwidth_sweep",
     "bandwidth_sweep_with_skips",

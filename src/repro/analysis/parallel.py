@@ -600,13 +600,10 @@ def _pool_map(
 def _simulated_cell(spec: dict) -> dict[str, object]:
     """Worker: simulate one sweep cell (module-level, picklable).
 
-    The ``analytic`` reference value normally comes from a local
-    :func:`~repro.analysis.evaluate.reference_bandwidth` call; when a
-    surface arena is advertised through ``REPRO_SURFACES_PREFIX`` (see
-    :func:`repro.surfaces.store.sweep_analytic_from_env`) and the cell
-    lands on a published gridpoint, it is read zero-copy from shared
-    memory instead — batch and service paths then share one cache
-    identity.
+    The ``analytic`` reference value comes from
+    :func:`~repro.analysis.evaluate.reference_bandwidth`: the closed
+    forms for paper schemes, exact enumeration (small M) or ``None``
+    for custom structures.
     """
     network = build_network(
         spec["scheme"],
@@ -623,17 +620,6 @@ def _simulated_cell(spec: dict) -> dict[str, object]:
         seed=spec["seed"],
         backend=spec["backend"],
     )
-    analytic = None
-    if os.environ.get("REPRO_SURFACES_PREFIX"):
-        # Lazy import: repro.surfaces pulls in this package, so a
-        # top-level import here would be circular.
-        from repro.surfaces.store import sweep_analytic_from_env
-
-        analytic = sweep_analytic_from_env(spec)
-    if analytic is None:
-        # Paper schemes resolve to the closed forms; custom structures
-        # fall back to exact enumeration (small M) or ``None``.
-        analytic = reference_bandwidth(network, model)
     return {
         "scheme": spec["scheme"],
         "N": spec["N"],
@@ -641,7 +627,7 @@ def _simulated_cell(spec: dict) -> dict[str, object]:
         "B": spec["B"],
         "r": spec["r"],
         "model": spec["model_name"],
-        "analytic": analytic,
+        "analytic": reference_bandwidth(network, model),
         "bandwidth": result.bandwidth,
         "ci95": result.bandwidth_ci95,
     }

@@ -97,12 +97,11 @@ class DeadlineExceededError(ServiceError):
     """A request ran out of its end-to-end latency budget.
 
     Raised wherever a :class:`repro.resilience.deadline.Deadline` is
-    checked: the query engine before/while computing, the fabric
-    coordinator while dispatching or re-sharding, and the surface
-    refresher around a materialization.  Maps to a structured HTTP 504
-    envelope in the front-end — never a raw traceback.  ``site`` names
-    the checkpoint that observed the expiry and ``budget_ms`` the
-    original budget.
+    checked: the query engine before/while computing and the fabric
+    coordinator while dispatching or re-sharding.  Maps to a structured
+    HTTP 504 envelope in the front-end — never a raw traceback.
+    ``site`` names the checkpoint that observed the expiry and
+    ``budget_ms`` the original budget.
     """
 
     def __init__(self, message: str, site: str = "",

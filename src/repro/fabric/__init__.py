@@ -9,8 +9,8 @@ on one fork-pool.  This package is the scale-out seam:
   difference / ``split(n)``, canonical strings like
   ``B=2-16/2,r=0.25-1.0``) used for shard addressing, checkpoint
   manifests and retry bookkeeping.
-* :mod:`repro.fabric.wire` — the length-prefixed msgpack/JSON frame
-  protocol workers stream results and heartbeats over.
+* :mod:`repro.fabric.wire` — the length-prefixed JSON frame protocol
+  workers stream results and heartbeats over.
 * :mod:`repro.fabric.jobs` — :class:`FabricJob`, the JSON-safe job
   descriptions both sides rebuild identically (per-cell seeds are
   spawned by grid position, so shard boundaries can never change a
@@ -23,10 +23,8 @@ on one fork-pool.  This package is the scale-out seam:
   via heartbeats, and re-shards only the lost slices of a dead worker
   through :mod:`repro.resilience.retry`.
 
-Workers attach to the PR-6 surface arena via ``REPRO_SURFACES_PREFIX``
-exactly like fork-pool workers do, and results are bit-identical to the
-single-process executor for any worker count, tree arity, or
-crash/retry interleaving.
+Results are bit-identical to the single-process executor for any worker
+count, tree arity, or crash/retry interleaving.
 """
 
 from repro.fabric.coordinator import (

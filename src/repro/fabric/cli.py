@@ -93,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fabric worker processes")
     parser.add_argument("--arity", type=int, default=8,
                         help="worker-tree fan-out")
-    parser.add_argument("--codec", default="auto",
-                        choices=("auto", "json", "msgpack"),
-                        help="wire codec for fabric frames")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="ResultCache directory (cells already "
                         "present are served from disk)")
@@ -160,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         FabricConfig(
             n_workers=args.workers,
             arity=args.arity,
-            codec=args.codec,
             limits=limits,
         ),
         cache=args.cache,

@@ -150,9 +150,6 @@ class FabricConfig:
         Attempt budget and deterministic backoff for lost/failed
         slices; re-shards beyond ``max_attempts`` raise
         :class:`~repro.exceptions.RetryExhaustedError`.
-    codec:
-        Wire codec name: ``auto`` (msgpack when importable, else JSON),
-        ``json``, or ``msgpack``.
     limits:
         The full :class:`FabricLimits` set (heartbeats, dispatch
         deadline, teardown/join bounds).  Built from the legacy
@@ -171,7 +168,6 @@ class FabricConfig:
     retry_policy: RetryPolicy = dataclasses.field(
         default_factory=_default_retry_policy
     )
-    codec: str = "auto"
     limits: FabricLimits | None = None
     breaker_policy: BreakerPolicy = dataclasses.field(
         default_factory=lambda: BreakerPolicy(
@@ -314,7 +310,7 @@ class FabricCoordinator:
         except (ValueError, KeyError):
             return False
         try:
-            wire.write_frame(proc.stdin, frame, self._codec)
+            wire.write_frame(proc.stdin, frame)
         except (BrokenPipeError, ValueError, OSError):
             return False
         return True
@@ -325,7 +321,6 @@ class FabricCoordinator:
             "node": 0,
             "n_workers": self.config.n_workers,
             "arity": self.config.arity,
-            "codec": self._codec,
             "heartbeat_interval": self.config.limits.heartbeat_interval,
             "job": self.job.to_wire(),
         }
@@ -341,9 +336,7 @@ class FabricCoordinator:
             self._alive.add(node)
             self._last_seen[node] = now
         for node in children_of(0, self.config.arity, self.config.n_workers):
-            proc = spawn_child(
-                dict(hello, node=node), self._codec, extra_env=extra_env
-            )
+            proc = spawn_child(dict(hello, node=node), extra_env=extra_env)
             self._children[node] = proc
             reader = threading.Thread(
                 target=self._reader_loop,
@@ -361,7 +354,7 @@ class FabricCoordinator:
         shutdown = {"type": "shutdown"}
         for proc in self._children.values():
             try:
-                wire.write_frame(proc.stdin, shutdown, self._codec)
+                wire.write_frame(proc.stdin, shutdown)
                 proc.stdin.close()
             except (BrokenPipeError, ValueError, OSError):
                 pass
@@ -555,7 +548,6 @@ class FabricCoordinator:
             if ceiling is not None:
                 deadline = Deadline(ceiling * 1000.0)
         self._deadline = deadline
-        self._codec = wire.default_codec(self.config.codec)
         self._plan = build_job(self.job)
         plan = self._plan
         all_indices = sorted(plan.cells)

@@ -14,9 +14,7 @@ Job kinds:
 
 * ``sweep`` — the Monte-Carlo bandwidth grid of
   :func:`repro.analysis.parallel.simulated_bandwidth_sweep`: axes
-  ``(r, B, model)``, cells evaluated by ``_simulated_cell`` (which
-  reads analytic reference values from a PR-6 surface arena when
-  ``REPRO_SURFACES_PREFIX`` is set).
+  ``(r, B, model)``, cells evaluated by ``_simulated_cell``.
 * ``validation`` — experiment E9's (config, mode) grid, evaluated by
   ``_validation_cell``; this is what ``repro-experiments validation
   --fabric N`` dispatches.

@@ -1,4 +1,4 @@
-"""Length-prefixed msgpack/JSON frame protocol for fabric pipes.
+"""Length-prefixed JSON frame protocol for fabric pipes.
 
 Every message between a fabric node and its parent is one *frame*::
 
@@ -7,14 +7,10 @@ Every message between a fabric node and its parent is one *frame*::
     | 1 byte | 4 bytes, >I    | length bytes     |
     +--------+----------------+------------------+
 
-The codec byte makes every frame self-describing: ``0`` is JSON (always
-available), ``1`` is msgpack (used when the :mod:`msgpack` package is
-importable — the container this repo targets ships without it, so JSON
-is the working default; the seam is here for hosts that have it).
-Both codecs round-trip Python floats exactly — msgpack as IEEE-754
-doubles, JSON via ``repr`` shortest-round-trip text — which is what
-lets fabric results be compared ``==`` against the single-process
-executor.
+The codec byte is always ``0`` (JSON); a reader rejects any other
+value as a malformed frame.  JSON round-trips Python floats exactly via
+``repr`` shortest-round-trip text, which is what lets fabric results be
+compared ``==`` against the single-process executor.
 
 Frames are written whole under the caller's lock and read with
 blocking exact-length reads, so a relay node can forward a frame's raw
@@ -32,15 +28,8 @@ from typing import BinaryIO
 from repro.exceptions import ConfigurationError
 from repro.resilience import chaos
 
-try:  # optional accelerator; the wire format does not require it
-    import msgpack
-except ImportError:  # pragma: no cover - absent in the target container
-    msgpack = None
-
 __all__ = [
     "CODEC_JSON",
-    "CODEC_MSGPACK",
-    "default_codec",
     "encode_frame",
     "decode_payload",
     "corrupt_frame",
@@ -52,7 +41,6 @@ __all__ = [
 ]
 
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
 
 _HEADER = struct.Struct(">BI")
 
@@ -65,40 +53,15 @@ class FrameError(ConfigurationError):
     """A malformed, oversized, or truncated frame."""
 
 
-def default_codec(name: str = "auto") -> int:
-    """Resolve a codec name (``auto`` | ``json`` | ``msgpack``)."""
-    if name == "json":
-        return CODEC_JSON
-    if name == "msgpack":
-        if msgpack is None:
-            raise ConfigurationError(
-                "msgpack codec requested but the msgpack package is not "
-                "installed"
-            )
-        return CODEC_MSGPACK
-    if name == "auto":
-        return CODEC_MSGPACK if msgpack is not None else CODEC_JSON
-    raise ConfigurationError(
-        f"unknown codec {name!r}; expected auto, json or msgpack"
-    )
-
-
-def encode_frame(message: dict, codec: int = CODEC_JSON) -> bytes:
+def encode_frame(message: dict) -> bytes:
     """Serialize one message into header + payload bytes."""
-    if codec == CODEC_JSON:
-        payload = json.dumps(message, separators=(",", ":")).encode()
-    elif codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ConfigurationError("msgpack codec unavailable")
-        payload = msgpack.packb(message, use_bin_type=True)
-    else:
-        raise FrameError(f"unknown codec byte {codec}")
+    payload = json.dumps(message, separators=(",", ":")).encode()
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
-    return _HEADER.pack(codec, len(payload)) + payload
+    return _HEADER.pack(CODEC_JSON, len(payload)) + payload
 
 
 def decode_payload(raw: bytes) -> dict:
@@ -112,28 +75,16 @@ def decode_payload(raw: bytes) -> dict:
             f"frame payload of {len(payload)} bytes does not match "
             f"declared length {length}"
         )
-    if codec == CODEC_JSON:
-        try:
-            return json.loads(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # Wrapped so every reader's single ``except FrameError`` also
-            # covers corrupted payload bytes (the corrupt-frame chaos
-            # injection lands here) — a flipped bit is a dead peer, not
-            # an unhandled reader-thread crash.
-            raise FrameError(f"undecodable JSON payload: {exc}") from exc
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise FrameError(
-                "received a msgpack frame but the msgpack package is not "
-                "installed"
-            )
-        try:
-            return msgpack.unpackb(payload, raw=False)
-        except Exception as exc:
-            raise FrameError(
-                f"undecodable msgpack payload: {exc}"
-            ) from exc
-    raise FrameError(f"unknown codec byte {codec}")
+    if codec != CODEC_JSON:
+        raise FrameError(f"unknown codec byte {codec}")
+    try:
+        return json.loads(payload)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # Wrapped so every reader's single ``except FrameError`` also
+        # covers corrupted payload bytes (the corrupt-frame chaos
+        # injection lands here) — a flipped bit is a dead peer, not
+        # an unhandled reader-thread crash.
+        raise FrameError(f"undecodable JSON payload: {exc}") from exc
 
 
 def corrupt_frame(raw: bytes) -> bytes:
@@ -150,10 +101,7 @@ def corrupt_frame(raw: bytes) -> bytes:
 
 
 def write_frame(
-    stream: BinaryIO,
-    message: dict,
-    codec: int = CODEC_JSON,
-    lock: threading.Lock | None = None,
+    stream: BinaryIO, message: dict, lock: threading.Lock | None = None
 ) -> None:
     """Encode and write one frame, flushing; atomic under ``lock``.
 
@@ -161,7 +109,7 @@ def write_frame(
     payload byte in the outgoing frame, which the receiving side decodes
     into a :class:`FrameError` and treats as a dead peer.
     """
-    raw = encode_frame(message, codec)
+    raw = encode_frame(message)
     if chaos.inject("fabric.wire.encode") == "corrupt_frame":
         raw = corrupt_frame(raw)
     write_raw_frame(stream, raw, lock=lock)
@@ -203,7 +151,7 @@ def read_raw_frame(stream: BinaryIO) -> bytes | None:
     if header is None:
         return None
     codec, length = _HEADER.unpack(header)
-    if codec not in (CODEC_JSON, CODEC_MSGPACK):
+    if codec != CODEC_JSON:
         raise FrameError(f"unknown codec byte {codec}")
     if length > MAX_FRAME_BYTES:
         raise FrameError(

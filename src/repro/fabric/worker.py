@@ -1,7 +1,7 @@
 """The fabric worker process: ``python -m repro.fabric.worker``.
 
 A worker is one node of the fabric tree.  It is configured entirely by
-the HELLO frame on stdin (node id, worker count, tree arity, codec,
+the HELLO frame on stdin (node id, worker count, tree arity,
 heartbeat interval, and the :class:`~repro.fabric.jobs.FabricJob`), so
 the command line is bare and the process is spawnable by either the
 coordinator or another worker.
@@ -25,9 +25,7 @@ Data flow:
 Evaluation runs on a separate thread against a
 :class:`~repro.fabric.jobs.JobPlan` built locally from the HELLO's job
 description; every cell is evaluated on a fresh deep copy of its spec,
-so a retried cell can never observe a consumed SeedSequence.  Workers
-inherit the environment, so ``REPRO_SURFACES_PREFIX`` attaches them to
-a published surface arena exactly like fork-pool sweep workers.
+so a retried cell can never observe a consumed SeedSequence.
 """
 
 from __future__ import annotations
@@ -110,8 +108,8 @@ def _child_env() -> dict[str, str]:
     The tier-1 invocation sets a *relative* ``PYTHONPATH=src``, which
     would break if a child's working directory ever differed; pinning
     the absolute location of the installed/checked-out ``repro``
-    package makes spawns location-independent.  Everything else —
-    including ``REPRO_SURFACES_PREFIX`` — passes through.
+    package makes spawns location-independent.  Everything else passes
+    through.
     """
     import repro
 
@@ -132,7 +130,7 @@ _SPAWN_SNIPPET = (
 
 
 def spawn_child(
-    hello: dict, codec: int, extra_env: dict[str, str] | None = None
+    hello: dict, extra_env: dict[str, str] | None = None
 ) -> subprocess.Popen:
     """Spawn one worker process and send it its HELLO frame.
 
@@ -150,7 +148,7 @@ def spawn_child(
         stderr=None,  # passes through for debuggability
         env=env,
     )
-    wire.write_frame(proc.stdin, hello, codec)
+    wire.write_frame(proc.stdin, hello)
     return proc
 
 
@@ -171,14 +169,11 @@ class _WorkerNode:
         self.node = -1
         self.arity = 1
         self.n_workers = 0
-        self.codec = wire.CODEC_JSON
         self.deadline: Deadline | None = None
 
     def _send(self, message: dict) -> None:
         try:
-            wire.write_frame(
-                self._out, message, self.codec, lock=self._out_lock
-            )
+            wire.write_frame(self._out, message, lock=self._out_lock)
         except (BrokenPipeError, ValueError, OSError):
             # Parent is gone; we are about to notice EOF and exit.
             self._stop.set()
@@ -287,7 +282,6 @@ class _WorkerNode:
         self.node = int(hello["node"])
         self.n_workers = int(hello["n_workers"])
         self.arity = int(hello["arity"])
-        self.codec = int(hello.get("codec", wire.CODEC_JSON))
         interval = float(hello.get("heartbeat_interval", 0.5))
         budget_ms = hello.get("deadline_ms")
         if budget_ms is not None:
@@ -313,7 +307,7 @@ class _WorkerNode:
 
         for child_node in children_of(self.node, self.arity, self.n_workers):
             child_hello = dict(hello, node=child_node)
-            proc = spawn_child(child_hello, self.codec)
+            proc = spawn_child(child_hello)
             self._children[child_node] = proc
             threading.Thread(
                 target=self._relay_loop,
@@ -379,7 +373,7 @@ class _WorkerNode:
 
     def _child_write(self, proc: subprocess.Popen, frame: dict) -> None:
         try:
-            wire.write_frame(proc.stdin, frame, self.codec)
+            wire.write_frame(proc.stdin, frame)
         except (BrokenPipeError, ValueError, OSError):
             pass  # the relay thread reports the death
 

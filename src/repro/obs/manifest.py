@@ -251,35 +251,6 @@ def _service_section(registry: MetricsRegistry) -> dict[str, object]:
     }
 
 
-def _surfaces_section(registry: MetricsRegistry) -> dict[str, object]:
-    """Materialized-surfaces digest: lookups, swaps, refresh health."""
-    lookups = _labelled_totals(registry, "surfaces.lookups", "result")
-    exact = lookups.get("exact", 0)
-    interpolated = lookups.get("interpolated", 0)
-    total = sum(lookups.values())
-    served = exact + interpolated
-    return {
-        "lookups": lookups,
-        "total_lookups": total,
-        "hit_rate": round(served / total, 6) if total else 0.0,
-        "materialized": _labelled_totals(
-            registry, "surfaces.materialized", "scheme"
-        ),
-        "swaps": int(registry.counter_total("surfaces.swaps")),
-        "reattached": int(registry.counter_total("surfaces.reattached")),
-        "hot_detected": int(registry.counter_total("surfaces.hot_detected")),
-        "refresh": _labelled_totals(registry, "surfaces.refresh", "status"),
-        "engine": {
-            "hits": _labelled_totals(
-                registry, "service.surfaces.hits", "kind"
-            ),
-            "misses": _labelled_totals(
-                registry, "service.surfaces.misses", "kind"
-            ),
-        },
-    }
-
-
 def _arbitration_section(registry: MetricsRegistry) -> dict[str, object]:
     """Priority-arbitration digest: runs by discipline, per-class grants."""
     return {
@@ -404,7 +375,6 @@ def build_manifest(
         "resilience": _resilience_section(registry),
         "faults": _faults_section(registry),
         "service": _service_section(registry),
-        "surfaces": _surfaces_section(registry),
         "arbitration": _arbitration_section(registry),
         "topology": _topology_section(registry),
         "fabric": _fabric_section(registry),

@@ -1,9 +1,9 @@
 """Circuit breakers guarding the service's stateful dependencies.
 
 A :class:`CircuitBreaker` sits in front of a dependency that can fail
-collectively — a fabric worker process, the surface materializer, the
-batch-evaluation tier — and converts sustained failure into *fast,
-typed rejection* instead of piled-up timeouts:
+collectively — a fabric worker process, the batch-evaluation tier —
+and converts sustained failure into *fast, typed rejection* instead of
+piled-up timeouts:
 
 * **closed** — calls flow through; failures are folded into a sliding
   window of recent outcomes.
@@ -146,7 +146,7 @@ class CircuitBreaker:
     ----------
     name:
         Stable identity of the guarded dependency (``fabric.worker.3``,
-        ``surfaces.refresh``, ``service.batch``); keys the jitter hash,
+        ``service.batch``); keys the jitter hash,
         the metrics labels and the manifest section.
     policy:
         The :class:`BreakerPolicy` (defaults are fine for tests).

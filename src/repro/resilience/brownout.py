@@ -10,10 +10,10 @@ and walking a *degradation ladder* one rung per evaluation:
 level  behavior
 =====  =============================================================
 0      normal service
-1      **approximate** — serve interpolated surface answers instead
-       of exact cell evaluations when the surface covers the query
-2      ... and **shrink batch windows** (smaller max size, shorter
-       max delay) so queued work drains in smaller, faster bites
+1      **alert** — pressure is recorded (gauge, transition event)
+       but nothing degrades yet: every answer is still exact
+2      **shrink batch windows** (smaller max size, shorter max
+       delay) so queued work drains in smaller, faster bites
 3+     ... and **shed** queries by *descending criticality class*:
        the highest class number (least critical) sheds first; class
        0 (most critical, per the PR 8 criticality model) is never
@@ -121,7 +121,7 @@ class BrownoutPolicy:
 
     @property
     def max_level(self) -> int:
-        """Top rung: 2 (approximate + shrink) plus one shed rung per
+        """Top rung: 2 (alert + shrink) plus one shed rung per
         sheddable class (every class except 0)."""
         return 2 + (self.criticality_classes - 1)
 
@@ -235,12 +235,6 @@ class BrownoutGovernor:
         """Current ladder level."""
         with self._lock:
             return self._level
-
-    @property
-    def approximate(self) -> bool:
-        """Level 1+: prefer interpolated surface answers over exact."""
-        with self._lock:
-            return self._level >= 1
 
     @property
     def shrink_batches(self) -> bool:

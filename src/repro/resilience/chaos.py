@@ -19,10 +19,10 @@ With no plan installed both are a module-global ``None`` check and an
 immediate return — zero overhead, guarded by the service benchmark.
 With a plan installed, ``delay`` rules sleep and ``error`` rules raise
 :class:`~repro.exceptions.ChaosError` inside ``inject`` itself;
-site-interpreted kinds (``corrupt_frame``, ``kill_worker``,
-``stale_surface``) are returned as the kind string for the site to
-enact, because only the site knows how (flip bytes in the encoded
-frame, SIGKILL the child process, skip the materialization).
+site-interpreted kinds (``corrupt_frame``, ``kill_worker``) are
+returned as the kind string for the site to enact, because only the
+site knows how (flip bytes in the encoded frame, SIGKILL the child
+process).
 
 Plans load from JSON files (``repro-serve --chaos-plan FILE``,
 ``repro-fabric --chaos-plan FILE``)::
@@ -69,9 +69,7 @@ __all__ = [
 
 #: Injection kinds understood by the harness.  ``delay`` and ``error``
 #: are enacted inside :func:`inject`; the rest are returned to the site.
-KINDS = frozenset(
-    {"delay", "error", "corrupt_frame", "kill_worker", "stale_surface"}
-)
+KINDS = frozenset({"delay", "error", "corrupt_frame", "kill_worker"})
 
 #: Registered injection sites (documentation + plan validation).
 SITES = frozenset(
@@ -81,7 +79,6 @@ SITES = frozenset(
         "service.batch",
         "fabric.dispatch",
         "fabric.wire.encode",
-        "surfaces.refresh",
     }
 )
 

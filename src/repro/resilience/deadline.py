@@ -1,7 +1,7 @@
 """End-to-end latency budgets that travel with a request.
 
-A :class:`Deadline` is created once at ingress — an HTTP request, a
-fabric dispatch, a refresh cycle — and *decremented by time itself*:
+A :class:`Deadline` is created once at ingress — an HTTP request or a
+fabric dispatch — and *decremented by time itself*:
 every hop reads the remaining budget off the same monotonic clock, so
 passing a deadline across layers costs nothing and can never drift.
 Three propagation channels carry the remaining budget between

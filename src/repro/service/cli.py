@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import os
 import sys
 
 from repro.obs.exporters import write_events_jsonl, write_prometheus
@@ -27,10 +26,6 @@ from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.engine import QueryEngine
 from repro.service.http import BandwidthService
 from repro.service.protocol import ServiceLimits
-from repro.surfaces.arena import DEFAULT_PREFIX, SurfaceArena
-from repro.surfaces.grid import DEFAULT_RATE_DIVISIONS
-from repro.surfaces.refresh import SurfaceRefresher
-from repro.surfaces.store import ENV_PREFIX, SurfaceStore
 
 __all__ = ["build_parser", "main"]
 
@@ -78,36 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on shutdown",
     )
     parser.add_argument(
-        "--surfaces", action="store_true",
-        help="serve single-cell queries from materialized bandwidth "
-        "surfaces in a shared-memory arena (tier zero)",
-    )
-    parser.add_argument(
-        "--surfaces-prefix", default=DEFAULT_PREFIX,
-        help="shared-memory segment prefix of the surface arena "
-        "(exported as REPRO_SURFACES_PREFIX so sweep workers attach)",
-    )
-    parser.add_argument(
-        "--surface-rate-divisions", type=int,
-        default=DEFAULT_RATE_DIVISIONS,
-        help="rate-axis resolution of materialized surfaces "
-        "(gridpoints at i/DIVISIONS)",
-    )
-    parser.add_argument(
-        "--surface-hot-threshold", type=int, default=16,
-        help="surface misses before a signature is materialized in the "
-        "background",
-    )
-    parser.add_argument(
-        "--surface-refresh-interval", type=float, default=2.0,
-        help="seconds between background hot-signature scans",
-    )
-    parser.add_argument(
-        "--no-surface-interpolation", action="store_true",
-        help="only serve exact gridpoint hits from surfaces "
-        "(off-grid rates fall through to the engine)",
-    )
-    parser.add_argument(
         "--chaos-plan", metavar="FILE", default=None,
         help="install a deterministic fault-injection plan "
         "(JSON FaultPlan) for the lifetime of the server",
@@ -115,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-brownout", action="store_true",
         help="disable the criticality-aware overload governor "
-        "(on by default: interpolate, shrink batches, then shed by "
-        "ascending criticality under sustained overload)",
+        "(on by default: shrink batches, then shed by ascending "
+        "criticality under sustained overload)",
     )
     parser.add_argument(
         "--brownout-queue-high", type=int, default=16,
@@ -129,21 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_surfaces(args: argparse.Namespace) -> SurfaceStore | None:
-    if not args.surfaces:
-        return None
-    store = SurfaceStore(
-        arena=SurfaceArena(prefix=args.surfaces_prefix),
-        interpolate=not args.no_surface_interpolation,
-        rate_divisions=args.surface_rate_divisions,
-        hot_threshold=args.surface_hot_threshold,
-    )
-    # Advertise the arena so pooled sweep workers on this machine read
-    # their analytic reference values from the same segments.
-    os.environ[ENV_PREFIX] = args.surfaces_prefix
-    return store
-
-
 async def _serve(args: argparse.Namespace) -> None:
     bucket = (
         TokenBucket(args.rate_limit, args.burst)
@@ -153,7 +103,6 @@ async def _serve(args: argparse.Namespace) -> None:
     admission = AdmissionController(
         bucket=bucket, max_queue_depth=args.max_queue_depth
     )
-    surfaces = _build_surfaces(args)
     brownout = None
     if not args.no_brownout:
         brownout = BrownoutGovernor(
@@ -170,29 +119,16 @@ async def _serve(args: argparse.Namespace) -> None:
         batch_max_delay=args.batch_delay,
         admission=admission,
         limits=ServiceLimits(max_sweep_cells=args.max_sweep_cells),
-        surfaces=surfaces,
         brownout=brownout,
         batch_breaker=CircuitBreaker("service.batch"),
     )
-    refresher = None
-    if surfaces is not None:
-        refresher = SurfaceRefresher(
-            surfaces, interval=args.surface_refresh_interval
-        )
     service = BandwidthService(engine, host=args.host, port=args.port)
     port = await service.start()
-    if refresher is not None:
-        refresher.start()
     print(f"repro-serve listening on http://{args.host}:{port}", flush=True)
     try:
         await service.serve_forever()
     finally:
-        if refresher is not None:
-            await refresher.stop()
         await service.stop()
-        if surfaces is not None:
-            surfaces.unlink_all()
-            os.environ.pop(ENV_PREFIX, None)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""The asyncio query engine: surfaces -> LRU -> coalescing -> kernels.
+"""The asyncio query engine: LRU -> coalescing -> kernels.
 
 Chen & Sheu's closed forms make a bandwidth cell cheap to compute but
 highly repetitive across callers — millions of users sweep the same
@@ -6,13 +6,6 @@ handful of machine shapes.  :class:`QueryEngine` exploits that shape
 with a tiered pipeline, all keyed on the normalized
 :class:`~repro.service.protocol.Query` itself:
 
-0. **Materialized surfaces** (opt-in) — single-cell queries whose model
-   signature has a surface published in the shared-memory arena are
-   answered by a zero-copy array read (``source="surface"``), or by
-   linear interpolation along the rate axis when enabled
-   (``source="surface_interp"``).  Exact gridpoint reads are
-   bit-identical to the batched kernels — the surfaces were filled by
-   them.  Misses fall through and feed hot-signature detection.
 1. **Result LRU** — finished answers, returned instantly
    (``source="cache"``).
 2. **In-flight coalescing map** — a query identical to one currently
@@ -87,8 +80,7 @@ class QueryResponse:
     query: Query
     values: dict[int, float]
     skipped: list[dict[str, object]]
-    #: ``"surface"`` | ``"surface_interp"`` | ``"cache"`` |
-    #: ``"coalesced"`` | ``"computed"``
+    #: ``"cache"`` | ``"coalesced"`` | ``"computed"``
     source: str
 
     @property
@@ -151,22 +143,18 @@ class QueryEngine:
     limits:
         :class:`~repro.service.protocol.ServiceLimits` applied when
         parsing payloads through :meth:`execute_payload`.
-    surfaces:
-        Optional :class:`~repro.surfaces.store.SurfaceStore` serving as
-        tier zero for single-cell queries.  ``None`` (default) keeps
-        the pre-surfaces pipeline exactly.
     encode_cache_size:
         Capacity of the encoded-bytes LRU behind
-        :meth:`encoded_payload`.  Responses served from a stable tier
-        (LRU or surfaces) skip the envelope rebuild *and* the
+        :meth:`encoded_payload`.  Responses served from the result LRU
+        skip the envelope rebuild *and* the
         ``json.dumps`` on repeat hits — the HTTP front-end writes the
         cached bytes straight to the socket.  ``0`` disables it
         (every response encodes from scratch, the pre-PR behaviour).
     brownout:
         Optional :class:`~repro.resilience.brownout.BrownoutGovernor`
         evaluated per request: it may shed the request by criticality
-        class (429, ``reason="brownout"``), force interpolated surface
-        answers, and shrink the batch window under overload.
+        class (429, ``reason="brownout"``) and shrink the batch window
+        under overload.
     batch_breaker:
         Optional :class:`~repro.resilience.breaker.CircuitBreaker`
         guarding the batch-evaluation tier; while open, batched queries
@@ -182,7 +170,6 @@ class QueryEngine:
         admission: AdmissionController | None = None,
         limits: ServiceLimits | None = None,
         model_cache_size: int = 512,
-        surfaces=None,
         encode_cache_size: int = 2048,
         brownout: BrownoutGovernor | None = None,
         batch_breaker: CircuitBreaker | None = None,
@@ -203,7 +190,6 @@ class QueryEngine:
         self._encode_cache_size = int(encode_cache_size)
         self._encoded: OrderedDict[tuple[Query, str], bytes] = OrderedDict()
         self._admission = admission
-        self.surfaces = surfaces
         self.limits = limits or ServiceLimits()
         self._results: OrderedDict[Query, dict] = OrderedDict()
         self._inflight: dict[Query, asyncio.Future] = {}
@@ -296,40 +282,15 @@ class QueryEngine:
         try:
             with registry.time_block("service.latency_seconds", kind=kind):
                 return await self._execute_tiers(
-                    query, kind, registry, brownout, deadline
+                    query, kind, registry, deadline
                 )
         finally:
             if brownout is not None:
                 brownout.observe_latency(time.perf_counter() - started)
 
     async def _execute_tiers(
-        self, query, kind, registry, brownout, deadline
+        self, query, kind, registry, deadline
     ) -> QueryResponse:
-        if self.surfaces is not None and not query.is_sweep:
-            force_interp = (
-                True
-                if brownout is not None and brownout.approximate
-                else None
-            )
-            value, result_kind = self.surfaces.lookup(
-                query, allow_interpolation=force_interp
-            )
-            if value is not None:
-                registry.increment(
-                    "service.surfaces.hits", kind=result_kind
-                )
-                source = (
-                    "surface" if result_kind == "exact"
-                    else "surface_interp"
-                )
-                return self._response(
-                    query,
-                    {"values": {query.bus_counts[0]: value},
-                     "skipped": []},
-                    source,
-                )
-            registry.increment("service.surfaces.misses", kind=result_kind)
-
         cached = self._lru_get(query)
         if cached is not None:
             registry.increment("service.cache.hits", kind=kind)
@@ -531,17 +492,17 @@ class QueryEngine:
     # Encoded-response cache (HTTP fast path)
     # ------------------------------------------------------------------
 
-    #: Response sources whose bytes are worth keeping: these tiers are
+    #: Response sources whose bytes are worth keeping: the LRU tier is
     #: hit repeatedly for the same query, so the encoded envelope is
     #: stable and will be asked for again.  ``computed``/``coalesced``
     #: responses re-arrive as ``cache`` hits, so caching their (different
     #: ``"source"`` field) bytes would only pollute the LRU.
-    _CACHEABLE_SOURCES = frozenset({"cache", "surface", "surface_interp"})
+    _CACHEABLE_SOURCES = frozenset({"cache"})
 
     def encoded_payload(self, response: QueryResponse) -> bytes:
         """The response's JSON envelope as bytes, LRU-cached per tier.
 
-        A hot ``/query`` repeat (LRU or surface hit) costs one ordered
+        A hot ``/query`` repeat (an LRU hit) costs one ordered
         dict lookup instead of rebuilding the envelope dict and running
         ``json.dumps`` — the dominant per-request CPU once the answer
         itself is cached.  Keyed on ``(query, source)`` because the

@@ -271,7 +271,7 @@ def canonical_generator_spec(spec) -> tuple:
 
     Two spellings of the same spec (defaults elided vs. explicit, lists
     vs. tuples) map to the same tuple, so cache identities built on this
-    value -- service queries, surface signatures -- coalesce correctly.
+    value -- service queries -- coalesce correctly.
     """
     normalized = normalize_generator_spec(spec)
 

@@ -10,39 +10,12 @@ from repro.fabric.wire import (
     CODEC_JSON,
     FrameError,
     decode_payload,
-    default_codec,
     encode_frame,
     read_frame,
     read_raw_frame,
     write_frame,
     write_raw_frame,
 )
-
-
-class TestCodecs:
-    def test_default_codec_json_always_available(self):
-        assert default_codec("json") == CODEC_JSON
-
-    def test_default_codec_auto_resolves(self):
-        resolved = default_codec("auto")
-        if wire.msgpack is None:
-            assert resolved == CODEC_JSON
-        else:
-            assert resolved == wire.CODEC_MSGPACK
-
-    def test_unknown_codec_name(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown codec"):
-            default_codec("bson")
-
-    def test_msgpack_request_without_package(self):
-        if wire.msgpack is not None:
-            pytest.skip("msgpack installed; the gate cannot trip")
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="msgpack"):
-            default_codec("msgpack")
 
 
 class TestFrames:
@@ -102,6 +75,8 @@ class TestFrames:
         frame[0] = 9
         with pytest.raises(FrameError, match="codec byte"):
             read_raw_frame(io.BytesIO(bytes(frame)))
+        with pytest.raises(FrameError, match="codec byte"):
+            decode_payload(bytes(frame))
 
     def test_oversized_declared_length_rejected(self):
         header = wire._HEADER.pack(CODEC_JSON, wire.MAX_FRAME_BYTES + 1)

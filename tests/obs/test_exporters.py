@@ -232,39 +232,3 @@ class TestManifest:
         assert manifest["resilience"]["retries"] == {}
         assert manifest["faults"]["fail_events"] == 0
         assert manifest["faults"]["runs"] == {}
-
-    def test_surfaces_section_digests_arena_counters(self):
-        registry = MetricsRegistry()
-        registry.increment("surfaces.lookups", 6, result="exact")
-        registry.increment("surfaces.lookups", 2, result="interpolated")
-        registry.increment("surfaces.lookups", 2, result="unpublished")
-        registry.increment("surfaces.materialized", 2, scheme="full")
-        registry.increment("surfaces.materialized", 1, scheme="kclass")
-        registry.increment("surfaces.swaps", 2)
-        registry.increment("surfaces.reattached", 1)
-        registry.increment("surfaces.hot_detected", 3)
-        registry.increment("surfaces.refresh", 2, status="ok")
-        registry.increment("surfaces.refresh", 1, status="error")
-        registry.increment("service.surfaces.hits", 5, kind="exact")
-        registry.increment("service.surfaces.misses", 2, kind="unpublished")
-        manifest = build_manifest(registry)
-        assert manifest["surfaces"] == {
-            "lookups": {"exact": 6, "interpolated": 2, "unpublished": 2},
-            "total_lookups": 10,
-            "hit_rate": 0.8,
-            "materialized": {"full": 2, "kclass": 1},
-            "swaps": 2,
-            "reattached": 1,
-            "hot_detected": 3,
-            "refresh": {"error": 1, "ok": 2},
-            "engine": {
-                "hits": {"exact": 5},
-                "misses": {"unpublished": 2},
-            },
-        }
-
-    def test_quiet_run_has_idle_surfaces_section(self):
-        manifest = build_manifest(MetricsRegistry())
-        assert manifest["surfaces"]["total_lookups"] == 0
-        assert manifest["surfaces"]["hit_rate"] == 0.0
-        assert manifest["surfaces"]["materialized"] == {}

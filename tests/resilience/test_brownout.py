@@ -73,10 +73,9 @@ class TestLadder:
 
 
 class TestDegradation:
-    def test_level_1_approximates_only(self):
+    def test_level_1_degrades_nothing(self):
         governor = _governor()
         _push_to(governor, 1)
-        assert governor.approximate
         assert not governor.shrink_batches
         assert governor.batch_limits(64, 0.01) == (64, 0.01)
         assert not governor.should_shed(3)

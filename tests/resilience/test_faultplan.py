@@ -26,6 +26,10 @@ class TestRuleValidation:
     def test_unknown_site_and_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown chaos site"):
             FaultRule(site="nope", kind="delay", every=1, delay_ms=1)
+        with pytest.raises(ConfigurationError, match="unknown chaos site"):
+            FaultRule(
+                site="surfaces.refresh", kind="delay", every=1, delay_ms=1
+            )
         with pytest.raises(ConfigurationError, match="unknown chaos kind"):
             FaultRule(site="service.engine", kind="nope", every=1)
 
@@ -123,30 +127,30 @@ class TestInjection:
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(rules=(
-            FaultRule(site="service.engine", kind="stale_surface", every=1),
+            FaultRule(site="service.engine", kind="corrupt_frame", every=1),
             FaultRule(site="service.engine", kind="error", every=1),
         ))
         with chaos_plan(plan):
-            assert chaos.inject("service.engine") == "stale_surface"
+            assert chaos.inject("service.engine") == "corrupt_frame"
 
     def test_max_fires_caps_a_rule(self):
         plan = FaultPlan(rules=(
-            FaultRule(site="service.engine", kind="stale_surface",
+            FaultRule(site="service.engine", kind="corrupt_frame",
                       every=1, max_fires=2),
         ))
         with chaos_plan(plan):
             kinds = [chaos.inject("service.engine") for _ in range(4)]
-        assert kinds == ["stale_surface", "stale_surface", None, None]
+        assert kinds == ["corrupt_frame", "corrupt_frame", None, None]
 
     def test_sites_count_independently(self):
         plan = FaultPlan(rules=(
-            FaultRule(site="service.engine", kind="stale_surface",
+            FaultRule(site="service.engine", kind="corrupt_frame",
                       calls=(2,)),
         ))
         with chaos_plan(plan):
             chaos.inject("service.http")  # does not advance engine count
             assert chaos.inject("service.engine") is None
-            assert chaos.inject("service.engine") == "stale_surface"
+            assert chaos.inject("service.engine") == "corrupt_frame"
 
     def test_async_injection_raises_too(self):
         import asyncio
@@ -166,7 +170,7 @@ class TestInjection:
 class TestReplay:
     def test_same_plan_replays_byte_identical_injections(self):
         plan = FaultPlan(seed=9, rules=(
-            FaultRule(site="service.engine", kind="stale_surface",
+            FaultRule(site="service.engine", kind="corrupt_frame",
                       probability=0.4),
             FaultRule(site="fabric.dispatch", kind="kill_worker",
                       probability=0.2),
@@ -183,7 +187,7 @@ class TestReplay:
 
     def test_injections_land_in_metrics_and_manifest(self):
         plan = FaultPlan(rules=(
-            FaultRule(site="service.engine", kind="stale_surface",
+            FaultRule(site="service.engine", kind="corrupt_frame",
                       calls=(1,)),
         ))
         with telemetry() as registry:
@@ -191,7 +195,7 @@ class TestReplay:
                 chaos.inject("service.engine")
         manifest = build_manifest(registry)["chaos"]
         assert manifest["by_site"] == {"service.engine": 1}
-        assert manifest["by_kind"] == {"stale_surface": 1}
+        assert manifest["by_kind"] == {"corrupt_frame": 1}
         assert manifest["injections"] == [
-            {"site": "service.engine", "kind": "stale_surface", "call": 1}
+            {"site": "service.engine", "kind": "corrupt_frame", "call": 1}
         ]

@@ -1,7 +1,7 @@
 """The encoded-response LRU: cached JSON bytes for repeat queries.
 
 ``QueryEngine.encoded_payload`` is the HTTP handlers' fast path — a
-repeat hit on the result LRU or a surface must serve the exact bytes
+repeat hit on the result LRU must serve the exact bytes
 ``json.dumps`` would have produced, without re-encoding.
 """
 
