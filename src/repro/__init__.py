@@ -127,7 +127,6 @@ from repro.resilience import (
     FaultRule,
     RetryPolicy,
     chaos_plan,
-    retry_call,
 )
 from repro.service import (
     AdmissionController,
@@ -220,7 +219,6 @@ __all__ = [
     "scheme_availability_curves",
     # resilience
     "RetryPolicy",
-    "retry_call",
     "Deadline",
     "BreakerPolicy",
     "CircuitBreaker",

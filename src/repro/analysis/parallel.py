@@ -54,6 +54,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.resilience.retry import RetryPolicy
 from repro.simulation.engine import simulate_bandwidth
+from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network
 
 __all__ = [
@@ -64,26 +65,6 @@ __all__ = [
     "sweep_cell_specs",
     "simulated_bandwidth_sweep",
 ]
-
-
-def spawn_seeds(
-    seed: int | np.random.SeedSequence | None, n: int
-) -> list[np.random.SeedSequence]:
-    """Spawn ``n`` independent child seeds from one root seed.
-
-    Children are derived by index from the root
-    :class:`~numpy.random.SeedSequence`, so the mapping *cell index ->
-    random stream* depends only on ``(seed, n_cells)`` — never on worker
-    count, scheduling order, or which cells were served from a cache.
-    Passing ``None`` draws root entropy from the OS (irreproducible but
-    still independent per cell).
-    """
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    return root.spawn(n)
 
 
 def seed_fingerprint(seed: np.random.SeedSequence) -> dict[str, object]:
@@ -603,7 +584,9 @@ def _simulated_cell(spec: dict) -> dict[str, object]:
     The ``analytic`` reference value comes from
     :func:`~repro.analysis.evaluate.reference_bandwidth`: the closed
     forms for paper schemes, exact enumeration (small M) or ``None``
-    for custom structures.
+    for custom structures.  The record reads only the bandwidth and its
+    interval, so the simulation runs with ``views=False`` and skips
+    arbitration.
     """
     network = build_network(
         spec["scheme"],
@@ -619,6 +602,7 @@ def _simulated_cell(spec: dict) -> dict[str, object]:
         n_cycles=spec["n_cycles"],
         seed=spec["seed"],
         backend=spec["backend"],
+        views=False,
     )
     return {
         "scheme": spec["scheme"],

@@ -17,7 +17,9 @@ the exact bandwidth of every connection scheme — no Monte-Carlo noise:
 3. Each scheme's served-count is a deterministic function of the
    requested set (e.g. ``min(|T|, B)`` for full connection, the eq.-(11)
    busy-bus criterion for K classes); the exact bandwidth is its
-   expectation under the exact-set distribution.
+   expectation under the exact-set distribution.  :func:`served_counts`
+   states that rule once, over rows of requested sets; the vectorized
+   simulator applies the same function to its cycles.
 
 Used by the approximation experiment (E13) to bound the paper's
 independence-approximation error analytically, and by tests as ground
@@ -25,6 +27,9 @@ truth for the Monte-Carlo engine.
 """
 
 from __future__ import annotations
+
+import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "requested_set_distribution",
     "distinct_request_pmf",
     "exact_bandwidth",
+    "served_counts",
 ]
 
 #: Hard cap on exact enumeration (2^16 subsets, ~65k doubles).
@@ -56,10 +62,17 @@ def _check_size(n_memories: int) -> None:
         )
 
 
+#: Set bits of every byte value.
+_BYTE_POPCOUNTS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).sum(axis=1)
+
+
 def _popcounts(n_subsets: int) -> np.ndarray:
+    """Set bits of every bitmask ``0 .. n_subsets - 1``, byte by byte."""
+    value = np.arange(n_subsets)
     counts = np.zeros(n_subsets, dtype=np.int64)
-    for t in range(1, n_subsets):
-        counts[t] = counts[t >> 1] + (t & 1)
+    while value.any():
+        counts += _BYTE_POPCOUNTS[value & 0xFF]
+        value >>= 8
     return counts
 
 
@@ -76,12 +89,18 @@ def requested_set_distribution(model: RequestModel) -> np.ndarray:
     q = model.request_matrix()  # per-cycle request probabilities, N x M
 
     # subset_mass[p, T] = sum of q[p, j] over j in T, built by the
-    # standard lowest-bit DP, vectorized over processors.
+    # lowest-bit DP mass(T) = mass(T - low(T)) + q[low(T)].  Walking the
+    # lowest bit j from high to low, the sets with lowest bit j are
+    # T' + 2**j for every already-built T' (a multiple of 2**(j+1)), so
+    # each step is one in-place add between two strided column views.
     subset_mass = np.zeros((model.n_processors, n_subsets))
-    for t in range(1, n_subsets):
-        low = t & (-t)
-        j = low.bit_length() - 1
-        subset_mass[:, t] = subset_mass[:, t ^ low] + q[:, j]
+    for j in reversed(range(m)):
+        step = 2 << j
+        np.add(
+            subset_mass[:, ::step],
+            q[:, j : j + 1],
+            out=subset_mass[:, 1 << j :: step],
+        )
 
     # Q(T) = prod_p P(processor p requests nothing outside T)
     #      = prod_p (1 - (row_total_p - mass_p(T))).
@@ -122,65 +141,109 @@ def distinct_request_pmf(model: RequestModel) -> np.ndarray:
     return pmf
 
 
-def _served_per_subset(
-    network: MultipleBusNetwork, n_subsets: int
+def served_counts(
+    network: MultipleBusNetwork, requested: np.ndarray
 ) -> np.ndarray:
-    """Served-request count for every requested-set bitmask."""
-    counts = _popcounts(n_subsets)
-    subsets = np.arange(n_subsets)
+    """Requests served in each row of a boolean ``(rows, M)`` requested matrix.
 
-    if isinstance(network, StructureNetwork):
-        # Generic incidence structure: a requested set is served up to its
-        # maximum bipartite matching against the buses (see
-        # repro.topology.structure for why matching is the reference rule).
-        return _matching_served_per_subset(network.memory_bus_matrix(), n_subsets)
+    Under the paper's blocked-requests-dropped rule the number of
+    requests a cycle serves depends only on *which* modules were
+    requested, for every work-conserving arbiter:
+
+    * full connection — ``min(|T|, B)``;
+    * ``g``-group partial — ``min(|T ∩ group|, B/g)`` summed over groups;
+    * single connection — one per bus with a requested module;
+    * ``K`` classes — the eq.-(11) busy-bus criterion on the per-class
+      requested counts;
+    * crossbar — ``|T|``.
+
+    Row ``i`` of ``requested`` is one requested set ``T``; any ``M``
+    works.  Exact enumeration applies this to the subset lattice and the
+    vectorized simulator to its cycles.  Returns one integer per row.
+    """
+    requested = np.asarray(requested, dtype=bool)
+    m = network.n_memories
+    if requested.ndim != 2 or requested.shape[1] != m:
+        raise ConfigurationError(
+            f"requested matrix must have shape (rows, {m}), "
+            f"got {requested.shape}"
+        )
     if isinstance(network, CrossbarNetwork):
-        return counts.astype(float)
+        return _label_counts(requested, [0] * m, 1)[:, 0]
     if isinstance(network, KClassPartialBusNetwork):
         k = network.n_classes
         b = network.n_buses
-        class_masks = []
-        for j in range(1, k + 1):
-            mask = 0
-            for module in network.modules_of_class(j):
-                mask |= 1 << module
-            class_masks.append(mask)
-        class_counts = np.stack(
-            [_popcounts_masked(subsets, mask) for mask in class_masks],
-            axis=1,
-        )  # n_subsets x K
-        served = np.zeros(n_subsets)
+        class_counts = _label_counts(
+            requested, [c - 1 for c in network.class_of_module], k
+        )  # rows x K
+        served = np.zeros(len(requested), dtype=np.int64)
         for bus in range(1, b + 1):
             a = bus + k - b
             # Bus busy unless counts[j] <= j - a for every j >= max(a, 1).
-            idle = np.ones(n_subsets, dtype=bool)
+            idle = np.ones(len(requested), dtype=bool)
             for j in range(max(a, 1), k + 1):
                 idle &= class_counts[:, j - 1] <= (j - a)
             served += ~idle
         return served
     if isinstance(network, PartialBusNetwork):
         mg = network.modules_per_group
-        bg = network.buses_per_group
-        served = np.zeros(n_subsets)
-        for group in range(network.n_groups):
-            mask = 0
-            for module in range(group * mg, (group + 1) * mg):
-                mask |= 1 << module
-            served += np.minimum(_popcounts_masked(subsets, mask), bg)
-        return served
+        group_counts = _label_counts(
+            requested, [j // mg for j in range(m)], network.n_groups
+        )
+        return np.minimum(group_counts, network.buses_per_group).sum(axis=1)
     if isinstance(network, SingleBusMemoryNetwork):
-        served = np.zeros(n_subsets)
-        for bus in range(network.n_buses):
-            mask = 0
-            for module in network.memories_on_bus(bus):
-                mask |= 1 << int(module)
-            served += _popcounts_masked(subsets, mask) > 0
-        return served
+        bus_counts = _label_counts(
+            requested, network.bus_of_module, network.n_buses
+        )
+        return (bus_counts > 0).sum(axis=1)
     if isinstance(network, FullBusMemoryNetwork):
-        return np.minimum(counts, network.n_buses).astype(float)
+        counts = _label_counts(requested, [0] * m, 1)[:, 0]
+        return np.minimum(counts, network.n_buses)
     raise ConfigurationError(
-        f"no exact served-count rule for scheme {network.scheme!r}"
+        f"no served-count rule for scheme {network.scheme!r}"
     )
+
+
+def _label_counts(
+    requested: np.ndarray, labels: Sequence[int], n_labels: int
+) -> np.ndarray:
+    """Requested modules per label: ``(rows, n_labels)`` counts.
+
+    Adds each module's column into its label's row.  A matrix product
+    would do the same through BLAS, whose worker threads keep spinning
+    on every core after the call.
+    """
+    columns = np.ascontiguousarray(requested.T)
+    counts = np.zeros((n_labels, len(requested)), dtype=np.int32)
+    for module, label in enumerate(labels):
+        counts[label] += columns[module]
+    return counts.T
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_lattice(n_memories: int) -> np.ndarray:
+    """Boolean ``(2**M, M)`` matrix: row ``T`` holds the bits of ``T``.
+
+    Read-only and cached; enumeration stops at ``M = 16``, so the cache
+    holds at most about 2 MiB.
+    """
+    subsets = np.arange(1 << n_memories)[:, None]
+    lattice = ((subsets >> np.arange(n_memories)) & 1).astype(bool)
+    lattice.setflags(write=False)
+    return lattice
+
+
+def _served_per_subset(
+    network: MultipleBusNetwork, n_subsets: int
+) -> np.ndarray:
+    """Served-request count for every requested-set bitmask."""
+    if isinstance(network, StructureNetwork):
+        # Generic incidence structure: a requested set is served up to its
+        # maximum bipartite matching against the buses (see
+        # repro.topology.structure for why matching is the reference rule).
+        return _matching_served_per_subset(network.memory_bus_matrix(), n_subsets)
+    lattice = _subset_lattice(network.n_memories)
+    return served_counts(network, lattice).astype(float)
 
 
 def _matching_served_per_subset(memory_bus: np.ndarray, n_subsets: int) -> np.ndarray:
@@ -216,18 +279,6 @@ def _matching_served_per_subset(memory_bus: np.ndarray, n_subsets: int) -> np.nd
         matchings[t] = match_of_bus
         served[t] = served[t ^ low] + (1.0 if grew else 0.0)
     return served
-
-
-def _popcounts_masked(subsets: np.ndarray, mask: int) -> np.ndarray:
-    masked = subsets & mask
-    # Kernighan-free vectorized popcount via byte lookup.
-    table = _popcounts(256)
-    out = np.zeros(len(subsets), dtype=np.int64)
-    value = masked.copy()
-    while value.any():
-        out += table[value & 0xFF]
-        value >>= 8
-    return out
 
 
 def exact_bandwidth(network: MultipleBusNetwork, model: RequestModel) -> float:

@@ -152,8 +152,8 @@ class RetryExhaustedError(ReproError):
 
     Raised by the crash-tolerant sweep executor
     (:func:`repro.analysis.parallel.parallel_map` with a
-    :class:`~repro.resilience.RetryPolicy`) and by
-    :func:`repro.resilience.retry_call` once ``max_attempts`` is spent.
+    :class:`~repro.resilience.RetryPolicy`) and by the fabric
+    coordinator once ``max_attempts`` is spent.
     The final underlying failure is chained as ``__cause__`` and also
     kept in :attr:`last_error`.
     """

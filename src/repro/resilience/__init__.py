@@ -25,11 +25,10 @@ from repro.resilience.deadline import (
     deadline_from_env,
     parse_deadline_header,
 )
-from repro.resilience.retry import RetryPolicy, retry_call
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "RetryPolicy",
-    "retry_call",
     "Deadline",
     "DEADLINE_HEADER",
     "ENV_DEADLINE_MS",

@@ -3,9 +3,9 @@
 Million-cell availability grids run for hours across worker processes;
 a single transient failure (an OOM-killed worker, a wedged cell, a
 corrupt cache file) must cost one retry, not the whole sweep.  This
-module defines the policy object shared by
-:func:`repro.analysis.parallel.parallel_map` and the standalone
-:func:`retry_call` helper.
+module defines the policy object used by
+:func:`repro.analysis.parallel.parallel_map` and the fabric
+coordinator.
 
 Determinism contract: backoff jitter is *hashed*, not drawn.  The delay
 before attempt ``k`` of a cell is a pure function of ``(policy, token,
@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
-from collections.abc import Callable
 
-from repro.exceptions import ConfigurationError, RetryExhaustedError
-from repro.obs.metrics import get_registry
+from repro.exceptions import ConfigurationError
 
-__all__ = ["RetryPolicy", "retry_call"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,48 +113,3 @@ class RetryPolicy:
             )
         return max(self.delay(attempt, token), float(retry_after))
 
-
-def retry_call(
-    func: Callable,
-    *args,
-    policy: RetryPolicy | None = None,
-    token: str = "",
-    sleep: Callable[[float], None] = time.sleep,
-    **kwargs,
-):
-    """Call ``func(*args, **kwargs)`` under a retry policy.
-
-    Retries any :class:`Exception` up to ``policy.max_attempts`` total
-    tries, sleeping ``policy.delay(attempt, token)`` between tries, then
-    raises :class:`~repro.exceptions.RetryExhaustedError` chained to the
-    final failure.  Every retry is counted on the telemetry registry
-    (``resilience.retries{reason=<exception type>}``) and logged as a
-    ``resilience.retry`` event.
-
-    ``sleep`` is injectable so tests can assert the backoff sequence
-    without waiting it out.
-    """
-    policy = policy if policy is not None else RetryPolicy()
-    registry = get_registry()
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return func(*args, **kwargs)
-        except Exception as exc:
-            if not policy.should_retry(attempt):
-                raise RetryExhaustedError(
-                    f"{token or getattr(func, '__name__', 'call')} failed "
-                    f"after {attempt} attempt(s): {exc!r}",
-                    attempts=attempt,
-                    last_error=exc,
-                ) from exc
-            registry.increment(
-                "resilience.retries", reason=type(exc).__name__
-            )
-            registry.record_event(
-                "resilience.retry",
-                token=token,
-                attempt=attempt,
-                error=repr(exc),
-            )
-            sleep(policy.delay(attempt, token))
-    raise AssertionError("unreachable")  # pragma: no cover

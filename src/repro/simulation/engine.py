@@ -16,7 +16,9 @@ Two execution backends share this front end:
   cycle through the arbitration objects of :mod:`repro.arbitration`.
 * ``"vectorized"`` — the NumPy batch backend
   (:mod:`repro.simulation.vectorized`): all cycles resolved as dense
-  array operations, one to two orders of magnitude faster.
+  array operations, one to two orders of magnitude faster; with
+  ``views=False`` it counts grants from the requested-module sets alone
+  and skips arbitration.
 * ``"auto"`` (default) — ``"vectorized"`` whenever the workload and
   topology support it, ``"loop"`` otherwise (custom policies, trace
   replay, fault-degraded topologies).
@@ -35,6 +37,8 @@ each run, and cycle/grant/request counters; each run executes inside a
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from repro.simulation.priority import (
     run_priority_loop,
     run_priority_vectorized,
 )
+from repro.simulation.seeds import spawn_seeds
 from repro.simulation.vectorized import (
     run_vectorized,
     vectorization_unsupported_reason,
@@ -77,12 +82,10 @@ def derive_streams(
     from two independently spawned children of the same
     :class:`~numpy.random.SeedSequence`, so the request stream a seed
     produces is backend-independent (arbitration never perturbs it).
+    Deriving never mutates a ``SeedSequence`` passed in, so the same
+    root always yields the same pair.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    generation, arbitration = root.spawn(2)
+    generation, arbitration = spawn_seeds(seed, 2)
     return np.random.default_rng(generation), np.random.default_rng(arbitration)
 
 
@@ -232,7 +235,7 @@ class MultiprocessorSimulator:
         return self._spec
 
     def run(
-        self, n_cycles: int, warmup: int = 0
+        self, n_cycles: int, warmup: int = 0, views: bool = True
     ) -> SimulationResult | PrioritySimulationResult:
         """Simulate ``warmup + n_cycles`` cycles and return statistics.
 
@@ -240,11 +243,23 @@ class MultiprocessorSimulator:
         pointers) without being measured.  Under the paper's drop-blocked
         assumption cycles are independent, so warm-up only matters for
         pointer states; it defaults to zero.
+
+        ``views=False`` asks only for the grant-count statistics: the
+        result's ``bus_utilization``, ``module_service_rates`` and
+        ``processor_success_rates`` are ``None``, and the vectorized
+        backend skips arbitration altogether (see
+        :mod:`repro.simulation.vectorized`).  Every other field is
+        bit-identical to ``views=True``.  Priority runs always
+        arbitrate, so they need ``views=True``.
         """
         if n_cycles < 1:
             raise SimulationError(f"need at least one cycle, got {n_cycles}")
         if warmup < 0:
             raise SimulationError(f"warmup must be >= 0, got {warmup}")
+        if not views and self._spec is not None:
+            raise SimulationError(
+                "priority runs report per-class arbitration; they need views"
+            )
         root = (
             self._seed
             if isinstance(self._seed, np.random.SeedSequence)
@@ -290,12 +305,20 @@ class MultiprocessorSimulator:
                     warmup,
                     generation_rng,
                     arbitration_rng,
+                    views=views,
                 )
             else:
                 generation_rng, arbitration_rng = derive_streams(root)
                 result = self._run_loop(
                     n_cycles, warmup, generation_rng, arbitration_rng
                 )
+                if not views:
+                    result = dataclasses.replace(
+                        result,
+                        bus_utilization=None,
+                        module_service_rates=None,
+                        processor_success_rates=None,
+                    )
         if telemetry_enabled():
             registry = get_registry()
             totals = (
@@ -402,8 +425,13 @@ def simulate_bandwidth(
     seed: int | np.random.SeedSequence | None = 0,
     backend: str = "auto",
     spec: ArbitrationSpec | None = None,
+    views: bool = True,
 ) -> SimulationResult | PrioritySimulationResult:
     """One-call convenience wrapper around :class:`MultiprocessorSimulator`.
+
+    ``views=False`` skips the per-bus/module/processor views (see
+    :meth:`MultiprocessorSimulator.run`); callers that read only the
+    bandwidth and its interval, like sweep cells, pass it.
 
     .. warning::
        The default ``seed=0`` makes each call reproducible, but it also
@@ -424,4 +452,4 @@ def simulate_bandwidth(
     """
     return MultiprocessorSimulator(
         network, workload, seed=seed, backend=backend, spec=spec
-    ).run(n_cycles)
+    ).run(n_cycles, views=views)

@@ -57,6 +57,8 @@ class SimulationResult:
     processor_success_rates:
         Per-processor successful requests per cycle (length ``N``) — the
         fairness view; under symmetric models all entries should agree.
+        These three views are ``None`` for a run made with
+        ``views=False``, which skips the arbitration that fills them.
     grant_counts:
         Successful requests in each measured cycle (length
         :attr:`n_cycles`).  Because the grant *count* per cycle is a
@@ -71,9 +73,9 @@ class SimulationResult:
     bandwidth_ci95: float
     requests_per_cycle: float
     acceptance_probability: float
-    bus_utilization: tuple[float, ...]
-    module_service_rates: tuple[float, ...]
-    processor_success_rates: tuple[float, ...]
+    bus_utilization: tuple[float, ...] | None
+    module_service_rates: tuple[float, ...] | None
+    processor_success_rates: tuple[float, ...] | None
     grant_counts: tuple[int, ...] | None = None
 
     def agrees_with(self, analytic: float, slack: float = 0.0) -> bool:
@@ -113,16 +115,17 @@ def batch_means_ci95(grants: np.ndarray, n_batches: int = 20) -> float:
 def result_from_arrays(
     grant_counts: np.ndarray,
     requests_issued: int,
-    bus_busy: np.ndarray,
-    module_served: np.ndarray,
-    processor_served: np.ndarray,
+    bus_busy: np.ndarray | None,
+    module_served: np.ndarray | None,
+    processor_served: np.ndarray | None,
 ) -> SimulationResult:
     """Build a :class:`SimulationResult` from whole-run count arrays.
 
     ``grant_counts`` holds the per-measured-cycle successful request
     counts; the remaining arguments are total counts per bus / module /
-    processor.  Used by the vectorized backend, which accumulates these
-    arrays in bulk instead of cycle by cycle.
+    processor, or ``None`` when the run skipped arbitration (the views
+    are then ``None`` too).  Used by the vectorized backend, which
+    accumulates these arrays in bulk instead of cycle by cycle.
     """
     n = len(grant_counts)
     if n == 0:
@@ -138,11 +141,15 @@ def result_from_arrays(
         bandwidth_ci95=batch_means_ci95(grants),
         requests_per_cycle=requests_issued / n,
         acceptance_probability=acceptance,
-        bus_utilization=tuple(np.asarray(bus_busy) / n),
-        module_service_rates=tuple(np.asarray(module_served) / n),
-        processor_success_rates=tuple(np.asarray(processor_served) / n),
+        bus_utilization=_rates(bus_busy, n),
+        module_service_rates=_rates(module_served, n),
+        processor_success_rates=_rates(processor_served, n),
         grant_counts=tuple(np.asarray(grant_counts).tolist()),
     )
+
+
+def _rates(totals: np.ndarray | None, n: int) -> tuple[float, ...] | None:
+    return None if totals is None else tuple(np.asarray(totals) / n)
 
 
 class MetricsCollector:

@@ -41,6 +41,7 @@ from repro.arbitration.memory_arbiter import (
 from repro.core.priority import ArbitrationSpec
 from repro.exceptions import SimulationError
 from repro.simulation.metrics import SimulationResult, result_from_arrays
+from repro.simulation.seeds import spawn_seeds
 from repro.simulation.vectorized import _CHUNK
 from repro.topology.network import MultipleBusNetwork
 from repro.workloads.generator import ModelRequestGenerator, RequestGenerator
@@ -71,12 +72,9 @@ def derive_priority_streams(
     from the two extra streams, leaving generation and arbitration
     draws undisturbed.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(seed)
-    children = root.spawn(4)
-    return tuple(np.random.default_rng(child) for child in children)
+    return tuple(
+        np.random.default_rng(child) for child in spawn_seeds(seed, 4)
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,28 +2,45 @@
 
 The loop backend (:mod:`repro.simulation.engine`) executes one Python
 iteration per cycle; this module resolves *all* cycles of a run as dense
-array operations instead:
+array operations instead.
 
-* request generation — every Bernoulli issue and destination pick for a
-  whole chunk of cycles comes from one block of RNG draws
+**Grant counts.**  Under the paper's blocked-requests-dropped rule the
+number of requests a cycle serves depends only on *which* modules were
+requested, for every work-conserving arbiter.  So the backend's core
+path is three array steps per chunk of cycles:
+
+* draw requests — every Bernoulli issue and destination pick for the
+  chunk comes from one block of RNG draws
   (:meth:`~repro.workloads.generator.ModelRequestGenerator.request_arrays`,
   consuming the generation stream bit-identically to the loop backend);
-* stage one — per-module memory contention for all cycles at once: each
-  request draws a uniform key and the winner of every ``(cycle, module)``
-  cell is the requester holding the maximum key (a vectorized argmax over
-  permuted keys — uniform among requesters, exactly the loop arbiter's
-  distribution);
-* stage two — scheme-specific bus assignment vectorized for the full,
-  single, g-group partial and K-class connection schemes plus the
-  crossbar.
+* form the ``(cycles, M)`` requested-module matrix;
+* apply the scheme's served-count rule,
+  :func:`repro.core.exact.served_counts` — the same function exact
+  enumeration applies to the subset lattice.
 
-Under the paper's blocked-requests-dropped assumption the grant *count*
-per cycle is a deterministic function of the requested-module set for
-every work-conserving arbiter, so the vectorized backend reproduces the
-loop backend's per-cycle grant counts, bandwidth, confidence interval
-and bus utilization *exactly* for the same seed; only the fairness views
-(which processor/module wins) differ in distributionally-equivalent
-ways.  The equivalence test suite pins all of this down.
+That yields the per-cycle grant counts, hence bandwidth, confidence
+interval and acceptance probability, bit-identical to the loop backend
+for the same seed.  ``run_vectorized(..., views=False)`` stops there:
+it is what sweep cells run, since their records read nothing else.
+
+**Arbitration, only for views.**  Per-bus, per-module and
+per-processor views need to know *who* won, so with ``views=True`` (the
+default) every chunk also resolves the two arbitration stages from the
+separate arbitration stream:
+
+* stage one — per-module memory contention: each request draws a
+  uniform key and the winner of every ``(cycle, module)`` cell is the
+  requester holding the maximum key (uniform among requesters, exactly
+  the loop arbiter's distribution);
+* stage two — scheme-specific bus assignment for the full, single,
+  g-group partial and K-class connection schemes plus the crossbar.
+
+:func:`check_batch_invariants` then verifies every grant and that the
+assigner's per-cycle counts equal the served-count rule, so each
+views-on run is also a differential check of the rule.  Bus
+utilization matches the loop backend exactly; the fairness views (which
+processor/module wins) differ only in distributionally-equivalent ways.
+The equivalence test suite pins all of this down.
 
 Use it through ``MultiprocessorSimulator(..., backend="vectorized")`` or
 ``simulate_bandwidth(..., backend="vectorized")``; the default
@@ -37,6 +54,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.exact import served_counts
 from repro.exceptions import SimulationError
 from repro.obs.metrics import get_registry
 from repro.simulation.metrics import SimulationResult, result_from_arrays
@@ -109,21 +127,34 @@ def vectorization_unsupported_reason(
             "ModelRequestGenerator (only request-model workloads are "
             "vectorized)"
         )
-    if not isinstance(
-        network,
-        (
-            CrossbarNetwork,
-            KClassPartialBusNetwork,
-            PartialBusNetwork,
-            SingleBusMemoryNetwork,
-            FullBusMemoryNetwork,
-        ),
-    ):
+    if not isinstance(network, _SCHEMES):
         return (
             f"scheme {network.scheme!r} has no vectorized stage-two "
             "arbiter (only full/single/partial/kclass/crossbar do)"
         )
     return None
+
+
+# ---------------------------------------------------------------------------
+# Grant counts: the requested-module matrix
+# ---------------------------------------------------------------------------
+
+
+def _requested_matrix(
+    issues: np.ndarray, chosen: np.ndarray, n_memories: int
+) -> np.ndarray:
+    """``(C, M)`` bool: the module had at least one request this cycle.
+
+    Requests that were not issued are aimed at a spare column ``M``,
+    which is dropped, so one flat scatter marks every cell.
+    """
+    n_cycles = issues.shape[0]
+    width = n_memories + 1
+    target = np.where(issues, chosen, n_memories)
+    target += (np.arange(n_cycles) * width)[:, None]
+    requested = np.zeros(n_cycles * width, dtype=bool)
+    requested[target] = True
+    return requested.reshape(n_cycles, width)[:, :n_memories]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +346,9 @@ _ASSIGNERS = (
     (FullBusMemoryNetwork, _assign_full),
 )
 
+#: The schemes with a vectorized stage two (and a served-count rule).
+_SCHEMES = tuple(network_type for network_type, _ in _ASSIGNERS)
+
 
 # ---------------------------------------------------------------------------
 # Degraded stage two: failed-bus variants of the structured assigners
@@ -454,7 +488,11 @@ def check_batch_invariants(
 
     Verifies, over every cycle at once, that each grant pairs a bus with
     a module wired to it and requested this cycle (with a stage-one
-    winner), and that no module holds more than one bus.
+    winner), that no module holds more than one bus, and — for the five
+    healthy schemes — that each cycle's grant count equals the
+    served-count rule :func:`repro.core.exact.served_counts`.  Failed-bus
+    views (:mod:`repro.faults`) serve up to a matching instead, so the
+    rule check skips them.
     """
     memory_bus = network.memory_bus_matrix()
     cycles, buses = np.nonzero(grant_module >= 0)
@@ -472,6 +510,12 @@ def check_batch_invariants(
     flat = cycles * network.n_memories + modules
     if flat.size and np.bincount(flat).max() > 1:
         raise SimulationError("module granted more than one bus")
+    if isinstance(network, _SCHEMES) and not np.array_equal(
+        (grant_module >= 0).sum(axis=1), served_counts(network, requested)
+    ):
+        raise SimulationError(
+            "per-cycle grant counts differ from the scheme's served-count rule"
+        )
 
 
 def run_vectorized(
@@ -482,13 +526,22 @@ def run_vectorized(
     generation_rng: np.random.Generator,
     arbitration_rng: np.random.Generator,
     keep_trace: bool = False,
+    views: bool = True,
 ) -> SimulationResult | tuple[SimulationResult, BatchTrace]:
     """Run ``warmup + n_cycles`` cycles in vectorized chunks.
 
     ``generation_rng`` must be the same stream (by derivation) the loop
     backend hands its request generator, which is what makes grant
     counts comparable across backends; ``arbitration_rng`` feeds the
-    winner-selection keys.  With ``keep_trace`` the full per-cycle
+    winner-selection keys.
+
+    With ``views=False`` only the grant-count path runs (see the module
+    docstring): no arbitration, no draws from ``arbitration_rng``, and
+    the result's ``bus_utilization``, ``module_service_rates`` and
+    ``processor_success_rates`` are ``None``.  Every other field is
+    bit-identical to a ``views=True`` run of the same streams.
+
+    With ``keep_trace`` (which needs ``views``) the full per-cycle
     arrays are returned alongside the result (measured cycles only) —
     used by the equivalence tests to re-check the arbitration
     invariants offline.
@@ -496,15 +549,19 @@ def run_vectorized(
     reason = vectorization_unsupported_reason(network, generator)
     if reason is not None:
         raise SimulationError(f"cannot vectorize: {reason}")
+    if keep_trace and not views:
+        raise SimulationError("keep_trace records arbitration; it needs views")
     assigner = _assigner_for(network)
     n_memories = network.n_memories
     total = warmup + n_cycles
 
     grant_count_chunks: list[np.ndarray] = []
     requests_issued = 0
-    bus_busy = np.zeros(network.n_buses, dtype=np.int64)
-    module_served = np.zeros(n_memories, dtype=np.int64)
-    processor_served = np.zeros(network.n_processors, dtype=np.int64)
+    bus_busy = module_served = processor_served = None
+    if views:
+        bus_busy = np.zeros(network.n_buses, dtype=np.int64)
+        module_served = np.zeros(n_memories, dtype=np.int64)
+        processor_served = np.zeros(network.n_processors, dtype=np.int64)
     trace_chunks: list[BatchTrace] = []
 
     registry = get_registry()
@@ -514,17 +571,27 @@ def run_vectorized(
         registry.increment("sim.vectorized.chunks")
         registry.increment("sim.vectorized.chunk_cycles", chunk)
         issues, chosen = generator.request_arrays(chunk, generation_rng)
-        requested, request_counts, winner = _resolve_stage_one(
-            issues, chosen, n_memories, arbitration_rng
-        )
-        grant_module = assigner(network, requested, arbitration_rng)
-        check_batch_invariants(network, requested, winner, grant_module)
+        if views:
+            requested, request_counts, winner = _resolve_stage_one(
+                issues, chosen, n_memories, arbitration_rng
+            )
+            grant_module = assigner(network, requested, arbitration_rng)
+            check_batch_invariants(network, requested, winner, grant_module)
 
         first_measured = max(0, warmup - produced)
         produced += chunk
         if first_measured >= chunk:
             continue
         sl = slice(first_measured, None)
+        requests_issued += int(issues[sl].sum())
+        if not views:
+            grant_count_chunks.append(
+                served_counts(
+                    network,
+                    _requested_matrix(issues[sl], chosen[sl], n_memories),
+                )
+            )
+            continue
         if keep_trace:
             trace_chunks.append(
                 BatchTrace(
@@ -539,7 +606,6 @@ def run_vectorized(
         grants = grant_module[sl]
         granted = grants >= 0
         grant_count_chunks.append(granted.sum(axis=1))
-        requests_issued += int(issues[sl].sum())
         bus_busy += granted.sum(axis=0)
         served_modules = grants[granted]
         module_served += np.bincount(served_modules, minlength=n_memories)

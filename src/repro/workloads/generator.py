@@ -75,15 +75,18 @@ class ModelRequestGenerator(RequestGenerator):
         """Draw one block: ``(issues, chosen)`` arrays of shape (block, N)."""
         issues = rng.random((block, self._n_processors)) < self._rate
         draws = rng.random((block, self._n_processors))
-        # Module choice by inverse-CDF per processor row, all rows at
-        # once: counting the cumulative-fraction entries <= draw equals
-        # searchsorted(cumulative[i], draw, side="right").
-        chosen = (
-            (draws[:, :, None] >= self._cumulative[None, :, :])
-            .sum(axis=2, dtype=np.int64)
-        )
+        # Module choice by inverse-CDF per processor row: the count of
+        # cumulative-fraction entries <= draw.  A row is non-decreasing
+        # up to its forced final 1.0, which exceeds every draw, so those
+        # entries form a prefix and a right-sided binary search per row
+        # counts them exactly.
+        chosen = np.empty((self._n_processors, block), dtype=np.int64)
+        for processor, row in enumerate(draws.T):
+            chosen[processor] = np.searchsorted(
+                self._cumulative[processor], row, side="right"
+            )
         np.clip(chosen, 0, self._n_memories - 1, out=chosen)
-        return issues, chosen
+        return issues, chosen.T
 
     def request_arrays(
         self, n_cycles: int, rng: np.random.Generator

@@ -5,12 +5,18 @@ import pytest
 
 from repro.analysis.evaluate import analytic_bandwidth
 from repro.core.exact import (
+    _popcounts,
     distinct_request_pmf,
     exact_bandwidth,
     requested_set_distribution,
+    served_counts,
 )
 from repro.core.hierarchy import paper_two_level_model
-from repro.core.request_models import MatrixRequestModel, UniformRequestModel
+from repro.core.request_models import (
+    FavoriteMemoryRequestModel,
+    MatrixRequestModel,
+    UniformRequestModel,
+)
 from repro.exceptions import ConfigurationError
 from repro.simulation.engine import simulate_bandwidth
 from repro.topology import (
@@ -20,6 +26,7 @@ from repro.topology import (
     PartialBusNetwork,
     SingleBusMemoryNetwork,
 )
+from repro.topology.factory import build_network
 
 
 class TestRequestedSetDistribution:
@@ -154,3 +161,98 @@ class TestExactBandwidth:
             exact_bandwidth(
                 FullBusMemoryNetwork(8, 8, 4), UniformRequestModel(8, 6)
             )
+
+
+def _oracle_served(network, t: int) -> int:
+    """Served count of requested-set bitmask ``t``, one subset at a time."""
+    def bits(mask: int) -> int:
+        return bin(t & mask).count("1")
+
+    def mask_of(modules) -> int:
+        return sum(1 << int(j) for j in modules)
+
+    if isinstance(network, CrossbarNetwork):
+        return bits(-1)
+    if isinstance(network, KClassPartialBusNetwork):
+        k, b = network.n_classes, network.n_buses
+        counts = [
+            bits(mask_of(network.modules_of_class(j)))
+            for j in range(1, k + 1)
+        ]
+        served = 0
+        for bus in range(1, b + 1):
+            a = bus + k - b
+            served += any(
+                counts[j - 1] > j - a for j in range(max(a, 1), k + 1)
+            )
+        return served
+    if isinstance(network, PartialBusNetwork):
+        mg, bg = network.modules_per_group, network.buses_per_group
+        return sum(
+            min(bits(mask_of(range(g * mg, (g + 1) * mg))), bg)
+            for g in range(network.n_groups)
+        )
+    if isinstance(network, SingleBusMemoryNetwork):
+        return sum(
+            bits(mask_of(network.memories_on_bus(bus))) > 0
+            for bus in range(network.n_buses)
+        )
+    return min(bits(-1), network.n_buses)
+
+
+#: exact_bandwidth of each scheme under FavoriteMemoryRequestModel(M, M,
+#: 0.6, rate=0.9), as float.hex — the values of the subset-by-subset
+#: implementation this one replaced, which must not move by one bit.
+PINNED_EXACT = {
+    ("full", 4): "0x1.f912ab535567ap+0",
+    ("full", 12): "0x1.7f2fe9648d938p+2",
+    ("full", 16): "0x1.ff86401b4a6c8p+2",
+    ("single", 4): "0x1.ddd03fc8edc52p+0",
+    ("single", 12): "0x1.5c60306d0ce92p+2",
+    ("single", 16): "0x1.cf1de242cb5e0p+2",
+    ("partial", 4): "0x1.ddd03fc8edc52p+0",
+    ("partial", 12): "0x1.77b21e0f73b95p+2",
+    ("partial", 16): "0x1.f8dc73e0bcbcfp+2",
+    ("kclass", 4): "0x1.eb71758e21966p+0",
+    ("kclass", 12): "0x1.6c57107c54964p+2",
+    ("kclass", 16): "0x1.e531846dcbd8ap+2",
+    ("crossbar", 4): "0x1.5f7fed4b1c890p+1",
+    ("crossbar", 12): "0x1.0580a01df9086p+3",
+    ("crossbar", 16): "0x1.5c6731dd8636fp+3",
+}
+
+
+class TestServedCountRule:
+    @pytest.mark.parametrize("scheme,m", sorted(PINNED_EXACT), ids=str)
+    def test_exact_bandwidth_matches_subset_oracle(self, scheme, m):
+        kwargs = {"n_groups": 2} if scheme == "partial" else {}
+        network = build_network(
+            scheme, m, m, m if scheme == "crossbar" else m // 2, **kwargs
+        )
+        model = FavoriteMemoryRequestModel(m, m, 0.6, rate=0.9)
+        oracle = np.array(
+            [float(_oracle_served(network, t)) for t in range(1 << m)]
+        )
+        exact = exact_bandwidth(network, model)
+        assert exact == float(requested_set_distribution(model) @ oracle)
+        assert exact.hex() == PINNED_EXACT[(scheme, m)]
+
+    def test_rule_on_rows_beyond_the_enumeration_cap(self):
+        rng = np.random.default_rng(3)
+        network = KClassPartialBusNetwork(
+            24, 24, 6, class_sizes=[6, 6, 6, 6]
+        )
+        requested = rng.random((200, 24)) < 0.3
+        masks = requested @ (1 << np.arange(24))
+        expected = [_oracle_served(network, int(t)) for t in masks]
+        assert served_counts(network, requested).tolist() == expected
+
+    def test_rule_rejects_wrong_width(self):
+        with pytest.raises(ConfigurationError, match="shape"):
+            served_counts(
+                FullBusMemoryNetwork(8, 8, 4), np.zeros((3, 7), dtype=bool)
+            )
+
+    def test_popcounts_match_bit_counting(self):
+        counts = _popcounts(1 << 17)
+        assert counts.tolist() == [bin(t).count("1") for t in range(1 << 17)]

@@ -1,10 +1,9 @@
-"""Retry policy: validation, deterministic jitter, and retry_call."""
+"""Retry policy: validation and deterministic jitter."""
 
 import pytest
 
-from repro import telemetry
-from repro.exceptions import ConfigurationError, RetryExhaustedError
-from repro.resilience.retry import RetryPolicy, retry_call
+from repro.exceptions import ConfigurationError
+from repro.resilience.retry import RetryPolicy
 
 
 class TestPolicyValidation:
@@ -66,68 +65,3 @@ class TestDeterministicJitter:
         with pytest.raises(ConfigurationError):
             RetryPolicy().delay(0)
 
-
-class TestRetryCall:
-    def test_success_needs_no_retry(self):
-        sleeps = []
-        result = retry_call(
-            lambda: 42, policy=RetryPolicy(), sleep=sleeps.append
-        )
-        assert result == 42
-        assert sleeps == []
-
-    def test_transient_failure_retried_then_succeeds(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        sleeps = []
-        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.01)
-        assert retry_call(flaky, policy=policy, sleep=sleeps.append) == "ok"
-        assert len(attempts) == 3
-        assert sleeps == [policy.delay(1, ""), policy.delay(2, "")]
-
-    def test_exhaustion_raises_chained_error(self):
-        def always_fails():
-            raise RuntimeError("broken")
-
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            retry_call(
-                always_fails,
-                policy=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-                token="cell-3",
-                sleep=lambda _: None,
-            )
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.last_error, RuntimeError)
-        assert isinstance(excinfo.value.__cause__, RuntimeError)
-        assert "cell-3" in str(excinfo.value)
-
-    def test_retries_counted_on_registry(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise ValueError("flap")
-            return 1
-
-        with telemetry() as registry:
-            retry_call(
-                flaky,
-                policy=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-                sleep=lambda _: None,
-            )
-            assert registry.counter_total("resilience.retries") == 1
-            events = [
-                e for e in registry.events()
-                if e["kind"] == "resilience.retry"
-            ]
-            assert len(events) == 1
-
-    def test_arguments_forwarded(self):
-        assert retry_call(divmod, 7, 3, sleep=lambda _: None) == (2, 1)
