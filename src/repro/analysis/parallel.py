@@ -1,38 +1,37 @@
-"""Parallel sweep execution: process pools, per-cell seeds, result cache.
+"""Sweep execution: per-cell seeds, the serial executor, result cache.
 
 The paper's evaluation is a grid of (scheme, N, B, r, model) cells, and
 the Monte-Carlo validation of eqs. (4), (6), (9), (12) repeats the grid
 with tens of thousands of simulated cycles per cell.  This module makes
-those grids embarrassingly parallel without giving up reproducibility:
+those grids reproducible under any executor:
 
 * **Deterministic per-cell seeds** — every sweep spawns one
   :class:`numpy.random.SeedSequence` child per grid cell *by cell index*
   (:func:`spawn_seeds`), before any work is dispatched.  Spawning is a
-  pure function of the root seed, so a 1-worker and a 4-worker run — or
-  a rerun on a different machine — produce bit-identical records no
-  matter how the scheduler interleaves cells.
-* **Process-pool fan-out** — :func:`parallel_map` runs a picklable
-  worker over the cells with :class:`concurrent.futures.ProcessPoolExecutor`,
-  preserving input order; ``n_workers in (None, 0, 1)`` degrades to a
-  plain serial loop with identical results.
+  pure function of the root seed, so a serial run, a 4-worker fabric
+  run (:mod:`repro.fabric`) or a rerun on a different machine produce
+  bit-identical records no matter how cells are scheduled.
+* **Serial executor** — :func:`parallel_map` runs a worker over the
+  cells in-process, preserving input order.  It is the reference the
+  multi-process fabric is checked against; grids that need more than
+  one process go through :func:`repro.fabric.fabric_simulated_sweep`
+  or a :class:`~repro.fabric.FabricCoordinator` job.
 * **Keyed on-disk cache** — :class:`ResultCache` stores each cell's
   JSON record under a SHA-256 key of its full parameterization, so
   repeated table builds skip completed cells and only compute what
   changed.  Entries are checksummed; files that fail to parse or to
   verify are *quarantined* (moved aside and recomputed), never raised.
-* **Crash tolerance** — with a
+  The fabric coordinator shares the same cache identity.
+* **Retries and resume** — with a
   :class:`~repro.resilience.retry.RetryPolicy`, :func:`parallel_map`
-  retries failing cells with deterministic backoff, survives worker
-  crashes (``BrokenProcessPool`` respawns the pool and retries only the
-  lost cells), watches for stalls via the policy's timeout, and — since
-  every completed cell is written to the cache the moment it finishes —
-  an interrupted sweep restarted with the same cache resumes from the
+  retries failing cells with deterministic backoff, and — since every
+  completed cell is written to the cache the moment it finishes — an
+  interrupted sweep restarted with the same cache resumes from the
   completed cells (checkpoint/resume for free).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
 import itertools
@@ -41,7 +40,6 @@ import os
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +53,7 @@ from repro.obs.spans import span
 from repro.resilience.retry import RetryPolicy
 from repro.simulation.engine import simulate_bandwidth
 from repro.simulation.seeds import spawn_seeds
-from repro.topology.factory import build_network
+from repro.topology.factory import build_network, check_scheme_kwargs
 
 __all__ = [
     "spawn_seeds",
@@ -322,38 +320,21 @@ def _as_cache(cache: "ResultCache | str | Path | None") -> ResultCache | None:
     return ResultCache(cache)
 
 
-def _timed_call(func: Callable, item: object) -> tuple[object, float, int]:
-    """Run ``func(item)``, returning ``(result, seconds, worker pid)``.
-
-    Module-level so it pickles into pool workers; the duration is
-    measured *inside* the worker process, giving true per-worker task
-    timings rather than queue-inclusive parent-side estimates.
-    """
-    start = time.perf_counter()
-    result = func(item)
-    return result, time.perf_counter() - start, os.getpid()
-
-
 def parallel_map(
     func: Callable,
     items: Iterable,
-    n_workers: int | None = None,
     cache: "ResultCache | str | Path | None" = None,
     cache_params: Callable[[object], dict] | None = None,
     retry_policy: RetryPolicy | None = None,
 ) -> list:
-    """Apply a picklable ``func`` over ``items``, preserving input order.
+    """Apply ``func`` over ``items`` in-process, preserving input order.
 
     Parameters
     ----------
     func:
-        Module-level callable (pickled into worker processes when
-        ``n_workers > 1``).
+        Callable evaluating one item.
     items:
         Work descriptions, one per output slot.
-    n_workers:
-        Process count; ``None``, ``0`` or ``1`` run serially in-process
-        with identical results (workers only change wall-clock time).
     cache:
         Optional :class:`ResultCache` (or a directory path for one).
         Items whose key is present are returned from disk without
@@ -364,21 +345,17 @@ def parallel_map(
         Maps an item to its JSON-safe parameter dict for
         :meth:`ResultCache.key`; required when ``cache`` is given.
     retry_policy:
-        Optional :class:`~repro.resilience.retry.RetryPolicy` making the
-        map crash-tolerant: failing cells are retried with deterministic
-        backoff; a crashed worker (``BrokenProcessPool``) respawns the
-        pool and retries only the lost cells; when no cell completes for
-        ``timeout_seconds`` the stalled pool is abandoned and its
-        outstanding cells retried.  A cell that exhausts its budget
-        raises :class:`~repro.exceptions.RetryExhaustedError`.  With
-        ``None`` (default) the first failure propagates unchanged.
+        Optional :class:`~repro.resilience.retry.RetryPolicy`: failing
+        cells are retried with deterministic backoff, and a cell that
+        exhausts its budget raises
+        :class:`~repro.exceptions.RetryExhaustedError`.  With ``None``
+        (default) the first failure propagates unchanged.
     """
     items = list(items)
     if cache is not None and cache_params is None:
         raise ConfigurationError("cache requires a cache_params function")
     cache = _as_cache(cache)
     registry = get_registry()
-    raw_errors = retry_policy is None
     policy = (
         retry_policy
         if retry_policy is not None
@@ -399,178 +376,54 @@ def parallel_map(
             registry.increment("parallel.disk_cache.misses")
         pending.append((index, item, key))
 
-    def _record_task(seconds: float, pid: int, mode: str) -> None:
-        registry.increment("parallel.tasks", mode=mode)
-        registry.observe("parallel.task_seconds", seconds, mode=mode)
-        registry.record_event(
-            "parallel.task",
-            mode=mode,
-            worker=pid,
-            seconds=round(seconds, 6),
-        )
-
-    def _record_retry(index: int, attempt: int, reason: str) -> None:
-        registry.increment("parallel.retries", reason=reason)
-        registry.record_event(
-            "parallel.retry", index=index, attempt=attempt, reason=reason
-        )
-
-    def _exhausted(index: int, attempt: int, exc: BaseException):
-        if raw_errors:
-            raise exc
-        raise RetryExhaustedError(
-            f"cell {index} failed after {attempt} attempt(s): {exc!r}",
-            attempts=attempt,
-            last_error=exc,
-        ) from exc
-
     try:
-        if n_workers is not None and n_workers > 1 and len(pending) > 1:
-            with span("parallel.map", mode="pool", tasks=len(pending)):
-                _pool_map(
-                    func,
-                    pending,
-                    results,
-                    n_workers,
-                    cache,
-                    policy,
-                    _record_task,
-                    _record_retry,
-                    _exhausted,
-                    registry,
+        with span("parallel.map", mode="serial", tasks=len(pending)):
+            for index, item, key in pending:
+                attempt = 1
+                while True:
+                    start = time.perf_counter()
+                    try:
+                        results[index] = func(item)
+                        break
+                    except Exception as exc:
+                        if not policy.should_retry(attempt):
+                            if retry_policy is None:
+                                raise
+                            raise RetryExhaustedError(
+                                f"cell {index} failed after {attempt} "
+                                f"attempt(s): {exc!r}",
+                                attempts=attempt,
+                                last_error=exc,
+                            ) from exc
+                        reason = type(exc).__name__
+                        registry.increment("parallel.retries", reason=reason)
+                        registry.record_event(
+                            "parallel.retry",
+                            index=index,
+                            attempt=attempt,
+                            reason=reason,
+                        )
+                        time.sleep(policy.delay(attempt, token=str(index)))
+                        attempt += 1
+                seconds = time.perf_counter() - start
+                registry.increment("parallel.tasks", mode="serial")
+                registry.observe(
+                    "parallel.task_seconds", seconds, mode="serial"
                 )
-        else:
-            with span("parallel.map", mode="serial", tasks=len(pending)):
-                for index, item, key in pending:
-                    attempt = 1
-                    while True:
-                        try:
-                            results[index], seconds, pid = _timed_call(
-                                func, item
-                            )
-                            break
-                        except Exception as exc:
-                            if not policy.should_retry(attempt):
-                                _exhausted(index, attempt, exc)
-                            _record_retry(index, attempt, type(exc).__name__)
-                            time.sleep(
-                                policy.delay(attempt, token=str(index))
-                            )
-                            attempt += 1
-                    _record_task(seconds, pid, "serial")
-                    if cache is not None:
-                        cache.put(key, results[index])
+                registry.record_event(
+                    "parallel.task",
+                    mode="serial",
+                    worker=os.getpid(),
+                    seconds=round(seconds, 6),
+                )
+                if cache is not None:
+                    cache.put(key, results[index])
     finally:
         # Batched caches checkpoint at the barrier (and on the way out
         # of a failing sweep, so completed cells survive the error).
         if cache is not None:
             cache.flush()
     return results
-
-
-def _pool_map(
-    func: Callable,
-    pending: list[tuple[int, object, str | None]],
-    results: list,
-    n_workers: int,
-    cache: ResultCache | None,
-    policy: RetryPolicy,
-    record_task: Callable,
-    record_retry: Callable,
-    exhausted: Callable,
-    registry,
-) -> None:
-    """Pool execution in waves: each wave retries the previous one's losses.
-
-    A healthy run is one wave — identical to a plain ``as_completed``
-    fan-out.  Failures split into three kinds: a cell whose ``func``
-    raised (retried per policy), lost cells of a crashed pool
-    (``BrokenProcessPool`` — the pool is respawned for the next wave),
-    and a stall (no completion for ``policy.timeout_seconds`` — the pool
-    is abandoned, its outstanding cells retried).  Every completed cell
-    lands in ``results`` (and the cache) the moment its future resolves,
-    so crashes can only ever cost in-flight work.
-    """
-    wave = [(index, item, key, 1) for index, item, key in pending]
-    while wave:
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_workers
-        )
-        futures = {
-            executor.submit(_timed_call, func, item): (index, item, key, att)
-            for index, item, key, att in wave
-        }
-        next_wave: list[tuple[int, object, str | None, int]] = []
-        broken = stalled = False
-
-        def _failed(
-            index: int,
-            item: object,
-            key: str | None,
-            attempt: int,
-            reason: str,
-            exc: BaseException,
-        ) -> None:
-            if not policy.should_retry(attempt):
-                executor.shutdown(wait=False, cancel_futures=True)
-                exhausted(index, attempt, exc)
-            record_retry(index, attempt, reason)
-            next_wave.append((index, item, key, attempt + 1))
-
-        remaining = set(futures)
-        while remaining:
-            done, remaining = concurrent.futures.wait(
-                remaining,
-                timeout=policy.timeout_seconds,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            if not done:
-                stalled = True
-                break
-            for future in done:
-                index, item, key, attempt = futures[future]
-                try:
-                    result, seconds, pid = future.result()
-                except BrokenProcessPool as exc:
-                    broken = True
-                    _failed(index, item, key, attempt, "worker-crash", exc)
-                except Exception as exc:
-                    _failed(
-                        index, item, key, attempt, type(exc).__name__, exc
-                    )
-                else:
-                    results[index] = result
-                    record_task(seconds, pid, "pool")
-                    if cache is not None:
-                        cache.put(key, result)
-        if stalled:
-            registry.increment("parallel.timeouts")
-            for future in remaining:
-                future.cancel()
-                index, item, key, attempt = futures[future]
-                _failed(
-                    index,
-                    item,
-                    key,
-                    attempt,
-                    "stall-timeout",
-                    TimeoutError(
-                        f"no completion within {policy.timeout_seconds}s"
-                    ),
-                )
-        executor.shutdown(
-            wait=not (broken or stalled), cancel_futures=True
-        )
-        if next_wave:
-            if broken:
-                registry.increment("parallel.pool_respawns")
-            time.sleep(
-                max(
-                    policy.delay(att - 1, token=str(index))
-                    for index, _, _, att in next_wave
-                )
-            )
-        wave = next_wave
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +504,12 @@ def sweep_cell_specs(
 
     The cell list (and each cell's spawned
     :class:`~numpy.random.SeedSequence`) is a pure function of the
-    arguments, so any executor — serial, pooled, or a chaos-testing
+    arguments, so any executor — serial, the fabric, or a chaos-testing
     harness wrapping :func:`_simulated_cell` — computes identical
     records from the same specs.  Invalid ``(scheme, B)`` combinations
     are skipped like the blank cells of the paper's tables.
     """
+    check_scheme_kwargs(scheme, network_kwargs)
     if n_memories is None:
         n_memories = n_processors
     cells: list[dict] = []
@@ -701,21 +555,21 @@ def simulated_bandwidth_sweep(
     n_cycles: int = 20_000,
     seed: int | np.random.SeedSequence | None = 0,
     backend: str = "auto",
-    n_workers: int | None = None,
     cache: "ResultCache | str | Path | None" = None,
     retry_policy: RetryPolicy | None = None,
     **network_kwargs,
 ) -> list[dict[str, object]]:
-    """Monte-Carlo bandwidth over a (B, r, model) grid, in parallel.
+    """Monte-Carlo bandwidth over a (B, r, model) grid, in-process.
 
     The simulated counterpart of
     :func:`repro.analysis.sweep.bandwidth_sweep`: one record per valid
     grid cell with both the closed-form (``analytic``) and simulated
     (``bandwidth`` ± ``ci95``) values.  Every cell simulates under its
     own :class:`~numpy.random.SeedSequence` child spawned by cell index
-    from ``seed`` — records are identical for any ``n_workers``, for
-    cache hits vs recomputation, and across crash-induced retries when a
-    ``retry_policy`` is set.
+    from ``seed`` — records are identical for cache hits vs
+    recomputation, across retries when a ``retry_policy`` is set, and
+    to :func:`repro.fabric.fabric_simulated_sweep` on any number of
+    worker processes.
     """
     cells = sweep_cell_specs(
         scheme,
@@ -733,7 +587,6 @@ def simulated_bandwidth_sweep(
         return parallel_map(
             _simulated_cell,
             cells,
-            n_workers=n_workers,
             cache=cache,
             cache_params=_simulated_cell_params,
             retry_policy=retry_policy,

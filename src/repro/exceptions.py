@@ -150,7 +150,7 @@ class ChaosError(ReproError):
 class RetryExhaustedError(ReproError):
     """A retried operation kept failing through its whole retry budget.
 
-    Raised by the crash-tolerant sweep executor
+    Raised by the serial sweep executor
     (:func:`repro.analysis.parallel.parallel_map` with a
     :class:`~repro.resilience.RetryPolicy`) and by the fabric
     coordinator once ``max_attempts`` is spent.

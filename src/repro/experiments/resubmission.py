@@ -10,7 +10,7 @@ submission rate and queueing delay the drop model cannot express.
 
 Each rate simulates under its own :class:`~numpy.random.SeedSequence`
 child spawned by sweep index from the experiment seed, so the records
-are identical for any ``n_workers``.
+are identical serially and across any number of fabric workers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.experiments.base import ExperimentResult
 from repro.simulation.resubmission import ResubmissionSimulator
 from repro.topology.factory import build_network
 
-__all__ = ["run"]
+__all__ = ["run", "resubmission_cells"]
 
 _RATES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -54,6 +54,22 @@ def _resubmission_cell(spec: dict) -> dict[str, object]:
     }
 
 
+def resubmission_cells(
+    n_processors: int = 16,
+    n_buses: int = 4,
+    n_cycles: int = 15_000,
+    seed: int = 5,
+) -> list[dict]:
+    """The per-rate work specs of E12, seeds attached, in ``_RATES`` order."""
+    cells = [
+        {"N": n_processors, "B": n_buses, "r": rate, "n_cycles": n_cycles}
+        for rate in _RATES
+    ]
+    for cell, cell_seed in zip(cells, spawn_seeds(seed, len(cells))):
+        cell["seed"] = cell_seed
+    return cells
+
+
 def run(
     n_processors: int = 16,
     n_buses: int = 4,
@@ -61,14 +77,29 @@ def run(
     seed: int = 5,
     n_workers: int | None = None,
 ) -> ExperimentResult:
-    """Sweep nominal rates on a full connection network."""
-    cells = [
-        {"N": n_processors, "B": n_buses, "r": rate, "n_cycles": n_cycles}
-        for rate in _RATES
-    ]
-    for cell, cell_seed in zip(cells, spawn_seeds(seed, len(cells))):
-        cell["seed"] = cell_seed
-    records = parallel_map(_resubmission_cell, cells, n_workers=n_workers)
+    """Sweep nominal rates on a full connection network.
+
+    ``n_workers > 1`` runs the rates as a fabric job across that many
+    worker processes; records are bit-identical to the serial run.
+    """
+    if n_workers is not None and n_workers > 1:
+        from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
+
+        job = FabricJob(
+            kind="resubmission",
+            params={
+                "N": n_processors, "B": n_buses, "n_cycles": n_cycles,
+                "seed": seed,
+            },
+        )
+        records = FabricCoordinator(
+            job, FabricConfig(n_workers=n_workers)
+        ).run().records
+    else:
+        records = parallel_map(
+            _resubmission_cell,
+            resubmission_cells(n_processors, n_buses, n_cycles, seed),
+        )
     rendered = render_table(
         records,
         title=(

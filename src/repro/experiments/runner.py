@@ -101,19 +101,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "process count for simulation-backed experiments "
-            "(default: serial; results are identical for any N)"
-        ),
-    )
-    parser.add_argument(
-        "--fabric",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run fabric-capable experiments across N distributed worker "
-            "processes (tree fan-out, heartbeats, crash re-sharding); "
-            "records are bit-identical to the in-process executors"
+            "run simulation-backed experiments across N fabric worker "
+            "processes (tree fan-out, heartbeats, crash re-sharding; "
+            "default: serial; results are identical for any N)"
         ),
     )
     parser.add_argument(
@@ -133,8 +123,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_kwargs = {}
     if args.workers is not None:
         run_kwargs["n_workers"] = args.workers
-    if args.fabric is not None:
-        run_kwargs["fabric_workers"] = args.fabric
 
     if args.json:
         import json

@@ -22,7 +22,7 @@ This experiment therefore validates in two modes:
 Each (config, mode) cell simulates under its own
 :class:`~numpy.random.SeedSequence` child spawned by cell index from the
 experiment seed, so results are bit-identical whether cells run serially
-or across ``n_workers`` processes.
+or across ``n_workers`` fabric processes.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def _validation_cell(spec: dict) -> dict[str, object]:
     simulator = MultiprocessorSimulator(
         network, model, seed=spec["seed"], backend=spec["backend"]
     )
-    result = simulator.run(spec["n_cycles"])
+    # The record reads only the bandwidth and its interval: skip
+    # arbitration (bit-identical counts, see ``run_vectorized``).
+    result = simulator.run(spec["n_cycles"], views=False)
     record: dict[str, object] = {
         "scheme": scheme,
         "N": n,
@@ -104,9 +106,8 @@ def validation_cells(
     """The per-cell work specs of E9, seeds attached, config-outer order.
 
     A pure function of its arguments (per-cell seeds are spawned by
-    cell index), so any executor — the serial loop, the fork pool, or
-    the distributed fabric — computes bit-identical records from equal
-    specs.
+    cell index), so the serial loop and the distributed fabric compute
+    bit-identical records from equal specs.
     """
     cells = [
         {"config": config, "mode": mode, "n_cycles": n_cycles,
@@ -124,33 +125,29 @@ def run(
     seed: int = 2024,
     n_workers: int | None = None,
     backend: str = "auto",
-    fabric_workers: int | None = None,
 ) -> ExperimentResult:
     """Run both validation modes over representative configurations.
 
-    ``fabric_workers`` dispatches the cells across that many fabric
+    ``n_workers > 1`` dispatches the cells across that many fabric
     worker *processes* (tree fan-out, heartbeats, crash re-sharding —
-    see :mod:`repro.fabric`) instead of the in-process executor;
-    records are bit-identical either way.
+    see :mod:`repro.fabric`) instead of the in-process loop; records
+    are bit-identical either way.
     """
-    if fabric_workers is not None and fabric_workers > 0:
+    if n_workers is not None and n_workers > 1:
         from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
 
-        report = FabricCoordinator(
-            FabricJob(
-                kind="validation",
-                params={
-                    "n_cycles": n_cycles, "seed": seed, "backend": backend,
-                },
-            ),
-            FabricConfig(n_workers=fabric_workers),
-        ).run()
-        records = report.records
+        job = FabricJob(
+            kind="validation",
+            params={"n_cycles": n_cycles, "seed": seed, "backend": backend},
+        )
+        records = FabricCoordinator(
+            job, FabricConfig(n_workers=n_workers)
+        ).run().records
     else:
         cells = validation_cells(
             n_cycles=n_cycles, seed=seed, backend=backend
         )
-        records = parallel_map(_validation_cell, cells, n_workers=n_workers)
+        records = parallel_map(_validation_cell, cells)
 
     rendered = render_table(
         records,

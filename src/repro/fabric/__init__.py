@@ -1,8 +1,9 @@
 """Distributed sweep fabric: sharded coordinator/worker execution.
 
 The paper's tables and figures are grids over (scheme, N, M, B, r,
-hierarchy) — embarrassingly shardable work that previously bottlenecked
-on one fork-pool.  This package is the scale-out seam:
+hierarchy) — embarrassingly shardable work.  This package is the only
+multi-process executor; :func:`repro.analysis.parallel.parallel_map` is
+its serial reference:
 
 * :mod:`repro.fabric.gridslice` — :class:`Grid` / :class:`GridSlice`, a
   RangeSet-style compact cell-set algebra (union / intersect /

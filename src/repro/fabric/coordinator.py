@@ -13,7 +13,7 @@ into records bit-identical to the single-process executor's:
    frames are routed down by the workers themselves).
 3. **Watch** worker heartbeats.  A worker that dies (pipe EOF, a
    relayed ``dead`` frame, or heartbeat silence past
-   ``heartbeat_timeout``) takes its whole subtree with it; only the
+   ``limits.heartbeat_timeout``) takes its whole subtree with it; only the
    *lost* cells of its shards — assigned minus already-streamed — are
    re-sharded across the survivors, with attempt accounting and
    deterministic backoff from :class:`~repro.resilience.retry.RetryPolicy`.
@@ -140,21 +140,13 @@ class FabricConfig:
         Fan-out of the worker tree.  ``8`` keeps small fleets flat (the
         coordinator talks to every worker directly); lower it to
         exercise deep trees or to bound per-node pipe count.
-    heartbeat_interval:
-        Legacy spelling of ``limits.heartbeat_interval`` (kept so
-        existing callers and configs keep working); when ``limits`` is
-        given explicitly it wins and these mirrors are realigned to it.
-    heartbeat_timeout:
-        Legacy spelling of ``limits.heartbeat_timeout``; same contract.
     retry_policy:
         Attempt budget and deterministic backoff for lost/failed
         slices; re-shards beyond ``max_attempts`` raise
         :class:`~repro.exceptions.RetryExhaustedError`.
     limits:
-        The full :class:`FabricLimits` set (heartbeats, dispatch
-        deadline, teardown/join bounds).  Built from the legacy
-        heartbeat kwargs when omitted, so both spellings validate
-        through the same :class:`FabricLimits` checks.
+        The :class:`FabricLimits` set (heartbeats, dispatch deadline,
+        teardown/join bounds).
     breaker_policy:
         Per-worker circuit-breaker tuning.  The default trips a
         worker's breaker open on its first recorded failure — a fabric
@@ -163,12 +155,10 @@ class FabricConfig:
 
     n_workers: int = 4
     arity: int = 8
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: float = 30.0
     retry_policy: RetryPolicy = dataclasses.field(
         default_factory=_default_retry_policy
     )
-    limits: FabricLimits | None = None
+    limits: FabricLimits = dataclasses.field(default_factory=FabricLimits)
     breaker_policy: BreakerPolicy = dataclasses.field(
         default_factory=lambda: BreakerPolicy(
             failure_threshold=1, window_size=4, probe_delay_seconds=1.0
@@ -182,24 +172,6 @@ class FabricConfig:
             )
         if self.arity < 1:
             raise ConfigurationError(f"arity must be >= 1, got {self.arity}")
-        if self.limits is None:
-            object.__setattr__(
-                self,
-                "limits",
-                FabricLimits(
-                    heartbeat_interval=self.heartbeat_interval,
-                    heartbeat_timeout=self.heartbeat_timeout,
-                ),
-            )
-        else:
-            # Explicit limits win; realign the legacy mirror fields so
-            # code reading either spelling sees one consistent truth.
-            object.__setattr__(
-                self, "heartbeat_interval", self.limits.heartbeat_interval
-            )
-            object.__setattr__(
-                self, "heartbeat_timeout", self.limits.heartbeat_timeout
-            )
 
 
 @dataclasses.dataclass
@@ -635,7 +607,7 @@ class FabricCoordinator:
         pass the last-finishing worker would be missing from
         ``worker_timings``.
         """
-        deadline = time.monotonic() + self.config.heartbeat_interval
+        deadline = time.monotonic() + self.config.limits.heartbeat_interval
         while (
             any(not a.done for a in self._assignments.values())
             and time.monotonic() < deadline
@@ -735,8 +707,9 @@ class FabricCoordinator:
 
     def _check_heartbeats(self) -> None:
         now = time.monotonic()
+        timeout = self.config.limits.heartbeat_timeout
         for node in self._alive_ring():
-            if now - self._last_seen[node] > self.config.heartbeat_timeout:
+            if now - self._last_seen[node] > timeout:
                 self._handle_death(node, "heartbeat-timeout")
 
 
@@ -762,7 +735,7 @@ def fabric_simulated_sweep(
     The distributed counterpart of
     :func:`repro.analysis.parallel.simulated_bandwidth_sweep`: identical
     arguments produce ``==``-identical records, the work just runs
-    across ``n_workers`` fabric processes instead of a fork pool.
+    across ``n_workers`` fabric processes instead of in-process.
     ``seed`` must be an int here (it travels as JSON in the job
     description).  ``limits`` and ``deadline`` pass straight through to
     :class:`FabricConfig` / :meth:`FabricCoordinator.run`.

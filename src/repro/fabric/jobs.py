@@ -16,8 +16,12 @@ Job kinds:
   :func:`repro.analysis.parallel.simulated_bandwidth_sweep`: axes
   ``(r, B, model)``, cells evaluated by ``_simulated_cell``.
 * ``validation`` — experiment E9's (config, mode) grid, evaluated by
-  ``_validation_cell``; this is what ``repro-experiments validation
-  --fabric N`` dispatches.
+  ``_validation_cell``.
+* ``resubmission`` — experiment E12's one-axis grid over ``r``,
+  evaluated by ``_resubmission_cell``.
+
+``repro-experiments validation resubmission --workers N`` dispatches the
+last two.
 
 Structurally invalid sweep cells (the paper tables' blank entries) are
 simply absent from the job's cell map, so the full work slice is the
@@ -89,10 +93,9 @@ class JobPlan:
 def _chaos_wrap(evaluate: Callable, kill_marker: str) -> Callable:
     """Chaos-testing hook: whoever claims the marker file SIGKILLs itself.
 
-    Mirrors the fork-pool chaos suite: the marker is claimed by unlink
-    (atomic — exactly one process dies), *before* any work, so the
-    killed cell is retried from scratch elsewhere and stays
-    bit-identical.
+    The marker is claimed by unlink (atomic — exactly one process
+    dies), *before* any work, so the killed cell is retried from
+    scratch elsewhere and stays bit-identical.
     """
 
     def chaotic(spec: dict) -> dict:
@@ -233,9 +236,30 @@ def _build_validation(params: dict) -> JobPlan:
     )
 
 
+def _build_resubmission(params: dict) -> JobPlan:
+    from repro.experiments.resubmission import (
+        _RATES,
+        _resubmission_cell,
+        resubmission_cells,
+    )
+
+    specs = resubmission_cells(
+        n_processors=int(params.get("N", 16)),
+        n_buses=int(params.get("B", 4)),
+        n_cycles=int(params.get("n_cycles", 15_000)),
+        seed=int(params.get("seed", 5)),
+    )
+    return JobPlan(
+        grid=Grid((("r", _RATES),)),
+        cells=dict(enumerate(specs)),
+        evaluate=_apply_chaos(params, _resubmission_cell),
+    )
+
+
 _BUILDERS = {
     "sweep": _build_sweep,
     "validation": _build_validation,
+    "resubmission": _build_resubmission,
 }
 
 

@@ -4,8 +4,8 @@ A manifest digests the registry into the questions an operator asks
 after a run: did the cache work (hit rate), which simulation backend ran
 (and how often the auto selector fell back), which sweep cells were
 skipped and why, which RNG streams fed the Monte-Carlo, how resilient
-execution fared (retries by reason, pool respawns, stall timeouts,
-quarantined cache files), what faults were injected (fail/repair
+execution fared (retries by reason, quarantined cache files, fabric
+worker deaths and re-shards), what faults were injected (fail/repair
 events, degraded/blackout cycle exposure), and where the time went per
 phase (top-level spans).
 
@@ -103,17 +103,9 @@ def _labelled_totals(
 
 def _resilience_section(registry: MetricsRegistry) -> dict[str, object]:
     """Retry / crash-recovery / cache-quarantine digest of a run."""
-    retries = _labelled_totals(registry, "parallel.retries", "reason")
-    standalone = _labelled_totals(registry, "resilience.retries", "reason")
     return {
-        "retries": retries,
-        "total_retries": int(
-            registry.counter_total("parallel.retries")
-            + registry.counter_total("resilience.retries")
-        ),
-        "standalone_retries": standalone,
-        "pool_respawns": int(registry.counter_total("parallel.pool_respawns")),
-        "stall_timeouts": int(registry.counter_total("parallel.timeouts")),
+        "retries": _labelled_totals(registry, "parallel.retries", "reason"),
+        "total_retries": int(registry.counter_total("parallel.retries")),
         "quarantined_cache_files": int(
             registry.counter_total("parallel.disk_cache.quarantined")
         ),

@@ -1,11 +1,12 @@
-"""Retry policies with deterministic jitter for the sweep executor.
+"""Retry policies with deterministic jitter for the sweep executors.
 
 Million-cell availability grids run for hours across worker processes;
-a single transient failure (an OOM-killed worker, a wedged cell, a
-corrupt cache file) must cost one retry, not the whole sweep.  This
-module defines the policy object used by
-:func:`repro.analysis.parallel.parallel_map` and the fabric
-coordinator.
+a single transient failure (a killed worker, a failing cell, a corrupt
+cache file) must cost one retry, not the whole sweep.  This module
+defines the policy object used by the serial
+:func:`repro.analysis.parallel.parallel_map` (per-cell retries) and the
+fabric coordinator (re-sharding the cells of a dead worker or a failed
+slice).
 
 Determinism contract: backoff jitter is *hashed*, not drawn.  The delay
 before attempt ``k`` of a cell is a pure function of ``(policy, token,
@@ -42,17 +43,12 @@ class RetryPolicy:
         attempt ``k`` is scaled by a factor in
         ``[1 - jitter_fraction, 1 + jitter_fraction]`` hashed from the
         retry token — fixed across reruns, decorrelated across cells.
-    timeout_seconds:
-        Stall watchdog for pooled execution: when no cell completes for
-        this long, the outstanding cells are retried in a fresh pool.
-        ``None`` waits forever.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
     backoff_factor: float = 2.0
     jitter_fraction: float = 0.1
-    timeout_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -71,10 +67,6 @@ class RetryPolicy:
             raise ConfigurationError(
                 "jitter_fraction must be in [0, 1], got "
                 f"{self.jitter_fraction}"
-            )
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigurationError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
             )
 
     def should_retry(self, attempt: int) -> bool:

@@ -21,7 +21,12 @@ from repro.topology.partial import PartialBusNetwork
 from repro.topology.single import SingleBusMemoryNetwork
 from repro.topology.structure import StructureNetwork
 
-__all__ = ["build_network", "equal_class_sizes", "paper_figure_networks"]
+__all__ = [
+    "build_network",
+    "check_scheme_kwargs",
+    "equal_class_sizes",
+    "paper_figure_networks",
+]
 
 #: Keyword arguments each scheme accepts; anything else is a typed error.
 _SCHEME_KWARGS: dict[str, frozenset] = {
@@ -74,6 +79,30 @@ def equal_class_sizes(n_memories: int, n_classes: int) -> list[int]:
     ]
 
 
+def check_scheme_kwargs(scheme: str, kwargs: dict) -> None:
+    """Raise :class:`ConfigurationError` for an unknown scheme or keyword.
+
+    :func:`build_network` runs this first; sweeps run it once up front,
+    so a misspelled keyword fails the sweep instead of reading as a
+    grid of infeasible cells.
+    """
+    allowed = _SCHEME_KWARGS.get(scheme)
+    if allowed is None:
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; expected full/single/partial/"
+            "kclass/crossbar/custom"
+        )
+    unknown = sorted(set(kwargs) - allowed)
+    if unknown:
+        if allowed:
+            hint = f"allowed: {sorted(allowed)}"
+        else:
+            hint = "this scheme takes no extra parameters"
+        raise ConfigurationError(
+            f"unknown parameter(s) {unknown} for scheme {scheme!r}; {hint}"
+        )
+
+
 def build_network(
     scheme: str,
     n_processors: int,
@@ -99,21 +128,7 @@ def build_network(
     non-integral spellings (floats, booleans) raise a typed
     :class:`ConfigurationError` instead of being silently coerced.
     """
-    allowed = _SCHEME_KWARGS.get(scheme)
-    if allowed is None:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; expected full/single/partial/"
-            "kclass/crossbar/custom"
-        )
-    unknown = sorted(set(kwargs) - allowed)
-    if unknown:
-        if allowed:
-            hint = f"allowed: {sorted(allowed)}"
-        else:
-            hint = "this scheme takes no extra parameters"
-        raise ConfigurationError(
-            f"unknown parameter(s) {unknown} for scheme {scheme!r}; {hint}"
-        )
+    check_scheme_kwargs(scheme, kwargs)
     n_processors = _strict_int(n_processors, "number of processors")
     n_memories = _strict_int(n_memories, "number of memory modules")
     n_buses = _strict_int(n_buses, "number of buses")

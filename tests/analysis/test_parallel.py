@@ -1,4 +1,4 @@
-"""Parallel sweep executor: worker-count invariance, caching, seeds."""
+"""Sweep executors: serial vs fabric invariance, caching, seeds."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from repro.analysis.parallel import (
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments import resubmission, validation
+from repro.fabric import fabric_simulated_sweep
 
 CYCLES = 800
 
@@ -27,14 +28,8 @@ class TestParallelMap:
     def test_preserves_order_serial(self):
         assert parallel_map(_square, [3, 1, 2]) == [9, 1, 4]
 
-    def test_preserves_order_parallel(self):
-        assert parallel_map(_square, list(range(7)), n_workers=3) == [
-            x * x for x in range(7)
-        ]
-
     def test_empty_items(self):
         assert parallel_map(_square, []) == []
-        assert parallel_map(_square, [], n_workers=4) == []
 
     def test_cache_requires_params_function(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cache_params"):
@@ -111,11 +106,19 @@ class TestSimulatedSweep:
     def test_worker_count_invariance(self):
         kwargs = dict(n_cycles=CYCLES, seed=11)
         serial = simulated_bandwidth_sweep("full", 8, [2, 4], [1.0], **kwargs)
-        four = simulated_bandwidth_sweep(
-            "full", 8, [2, 4], [1.0], n_workers=4, **kwargs
+        fabric = fabric_simulated_sweep(
+            "full", 8, [2, 4], [1.0], n_workers=2, **kwargs
         )
-        assert serial == four
+        assert serial == fabric
         assert len(serial) == 4  # 2 bus counts x {hier, unif}
+
+    def test_unknown_network_kwarg_raises(self):
+        # A misspelled (or removed) keyword must not read as a grid of
+        # infeasible cells and come back as an empty sweep.
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            simulated_bandwidth_sweep(
+                "full", 8, [2, 4], [1.0], n_cycles=CYCLES, n_workers=4
+            )
 
     def test_invalid_cells_skipped(self):
         # g=2 partial networks need even B: B=3 must be skipped like the
@@ -157,12 +160,15 @@ class TestSimulatedSweep:
 
 
 class TestExperimentParallelism:
+    """``n_workers > 1`` runs E9/E12 on the fabric; records stay ``==``."""
+
     def test_validation_worker_invariance(self):
         serial = validation.run(n_cycles=CYCLES)
-        parallel = validation.run(n_cycles=CYCLES, n_workers=4)
-        assert serial.records == parallel.records
+        fabric = validation.run(n_cycles=CYCLES, n_workers=3)
+        assert serial.records == fabric.records
 
     def test_resubmission_worker_invariance(self):
         serial = resubmission.run(n_cycles=CYCLES)
-        parallel = resubmission.run(n_cycles=CYCLES, n_workers=3)
-        assert serial.records == parallel.records
+        fabric = resubmission.run(n_cycles=CYCLES, n_workers=2)
+        assert serial.records == fabric.records
+        assert [r["r"] for r in fabric.records] == list(resubmission._RATES)

@@ -23,6 +23,7 @@ from repro.fabric import (
     FabricConfig,
     FabricCoordinator,
     FabricJob,
+    FabricLimits,
     build_job,
     fabric_simulated_sweep,
 )
@@ -93,10 +94,6 @@ class TestTopology:
             FabricConfig(n_workers=0)
         with pytest.raises(ConfigurationError):
             FabricConfig(arity=0)
-        with pytest.raises(ConfigurationError):
-            FabricConfig(heartbeat_interval=0.0)
-        with pytest.raises(ConfigurationError):
-            FabricConfig(heartbeat_interval=1.0, heartbeat_timeout=1.0)
 
 
 class TestJobs:
@@ -172,7 +169,9 @@ class TestChaos:
         with telemetry() as registry:
             report = FabricCoordinator(
                 _sweep_job(kill_marker=str(marker)),
-                FabricConfig(n_workers=2, heartbeat_timeout=15.0),
+                FabricConfig(
+                    n_workers=2, limits=FabricLimits(heartbeat_timeout=15.0)
+                ),
             ).run()
         assert report.records == serial_records
         assert len(report.worker_deaths) == 1
@@ -277,7 +276,7 @@ class TestValidationExperiment:
         from repro.experiments import validation
 
         baseline = validation.run(n_cycles=150, seed=5)
-        fabricated = validation.run(n_cycles=150, seed=5, fabric_workers=2)
+        fabricated = validation.run(n_cycles=150, seed=5, n_workers=2)
         assert fabricated.records == baseline.records
 
 

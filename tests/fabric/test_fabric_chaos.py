@@ -90,27 +90,6 @@ class TestFabricLimits:
         with pytest.raises(ConfigurationError):
             FabricLimits(reader_join_timeout=-1.0)
 
-    def test_legacy_heartbeat_kwargs_build_limits(self):
-        config = FabricConfig(heartbeat_interval=0.25, heartbeat_timeout=5.0)
-        assert config.limits.heartbeat_interval == 0.25
-        assert config.limits.heartbeat_timeout == 5.0
-
-    def test_explicit_limits_realign_legacy_mirrors(self):
-        config = FabricConfig(
-            heartbeat_interval=0.9,  # overridden by the explicit limits
-            limits=FabricLimits(
-                heartbeat_interval=0.1, heartbeat_timeout=3.0
-            ),
-        )
-        assert config.heartbeat_interval == 0.1
-        assert config.heartbeat_timeout == 3.0
-
-    def test_legacy_kwargs_still_validate(self):
-        with pytest.raises(ConfigurationError):
-            FabricConfig(heartbeat_interval=0.0)
-        with pytest.raises(ConfigurationError):
-            FabricConfig(heartbeat_interval=1.0, heartbeat_timeout=1.0)
-
 
 class TestChaosPlans:
     def test_injected_worker_kill_is_bit_identical(self, serial_records):
@@ -126,7 +105,10 @@ class TestChaosPlans:
             with chaos_plan(plan):
                 report = FabricCoordinator(
                     _sweep_job(),
-                    FabricConfig(n_workers=2, heartbeat_timeout=15.0),
+                    FabricConfig(
+                        n_workers=2,
+                        limits=FabricLimits(heartbeat_timeout=15.0),
+                    ),
                 ).run()
         assert report.records == serial_records
         assert len(report.worker_deaths) >= 1
@@ -156,7 +138,10 @@ class TestChaosPlans:
             with chaos_plan(plan):
                 report = FabricCoordinator(
                     _sweep_job(),
-                    FabricConfig(n_workers=2, heartbeat_timeout=15.0),
+                    FabricConfig(
+                        n_workers=2,
+                        limits=FabricLimits(heartbeat_timeout=15.0),
+                    ),
                 ).run()
         assert report.records == serial_records
         assert {d["node"] for d in report.worker_deaths} == {1}
@@ -177,7 +162,10 @@ class TestChaosPlans:
             with chaos_plan(plan):
                 FabricCoordinator(
                     _sweep_job(),
-                    FabricConfig(n_workers=2, heartbeat_timeout=15.0),
+                    FabricConfig(
+                        n_workers=2,
+                        limits=FabricLimits(heartbeat_timeout=15.0),
+                    ),
                 ).run()
                 logs.append(chaos.active_injections())
         assert logs[0] == logs[1]

@@ -189,19 +189,13 @@ class TestManifest:
         registry = MetricsRegistry()
         registry.increment("parallel.retries", 2, reason="worker-crash")
         registry.increment("parallel.retries", 1, reason="stall-timeout")
-        registry.increment("resilience.retries", 1, reason="OSError")
-        registry.increment("parallel.pool_respawns")
-        registry.increment("parallel.timeouts")
         registry.increment(
             "parallel.disk_cache.quarantined", reason="unparseable"
         )
         manifest = build_manifest(registry)
         assert manifest["resilience"] == {
             "retries": {"stall-timeout": 1, "worker-crash": 2},
-            "total_retries": 4,
-            "standalone_retries": {"OSError": 1},
-            "pool_respawns": 1,
-            "stall_timeouts": 1,
+            "total_retries": 3,
             "quarantined_cache_files": 1,
             "deadline_exceeded": {},
         }

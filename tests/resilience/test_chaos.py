@@ -1,17 +1,15 @@
 """Chaos tests: killed workers, corrupt cache entries, checkpoint/resume.
 
-The acceptance scenario: a pooled sweep that loses a worker to SIGKILL
+The acceptance scenario: a fabric sweep that loses a worker to SIGKILL
 mid-run *and* starts against a cache containing one corrupt entry must
 finish with records bit-identical to an undisturbed serial run, with the
-retries and the quarantine visible in the observability manifest.
-Determinism makes this checkable exactly: per-cell seeds are spawned by
-cell index before dispatch, so no crash/retry interleaving can change a
-record.
+worker death, the re-shard and the quarantine visible in the
+observability manifest.  Determinism makes this checkable exactly:
+per-cell seeds are spawned by cell index before dispatch, so no
+crash/retry interleaving can change a record.
 """
 
 import json
-import os
-import signal
 from pathlib import Path
 
 import pytest
@@ -24,31 +22,17 @@ from repro.analysis.parallel import (
     parallel_map,
     sweep_cell_specs,
 )
-from repro.exceptions import RetryExhaustedError
+from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
 from repro.resilience.retry import RetryPolicy
+
+SWEEP = dict(scheme="full", N=8, bus_counts=[2, 4], rates=[0.5, 1.0])
 
 
 def _specs(n_cycles=300):
     return sweep_cell_specs(
-        "full", 8, bus_counts=(2, 4), rates=(0.5, 1.0), n_cycles=n_cycles,
-        seed=11,
+        SWEEP["scheme"], SWEEP["N"], bus_counts=SWEEP["bus_counts"],
+        rates=SWEEP["rates"], n_cycles=n_cycles, seed=11,
     )
-
-
-def _chaos_cell(spec):
-    """Worker that SIGKILLs itself once (whoever claims the marker dies)."""
-    marker = Path(spec["kill_marker"])
-    try:
-        marker.unlink()
-    except FileNotFoundError:
-        pass
-    else:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _simulated_cell(spec)
-
-
-def _always_crashes(spec):
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _flaky_marker_cell(item):
@@ -64,58 +48,46 @@ class TestChaosSweep:
     def test_killed_worker_and_corrupt_cache_still_bit_identical(
         self, tmp_path
     ):
-        # Two independent spec lists: sweep_cell_specs is a pure function
-        # of its arguments, but running a cell spawns children from its
-        # SeedSequence in place, so each run needs its own fresh copy.
         reference = parallel_map(_simulated_cell, _specs())
-        cells = _specs()
 
         cache = ResultCache(tmp_path / "cache")
-        # Pre-corrupt the cache entry of the first cell.
-        corrupt_key = cache.key(_simulated_cell_params(cells[0]))
+        # Pre-corrupt the cache entry of the first cell (grid index 0).
+        corrupt_key = cache.key(_simulated_cell_params(_specs()[0]))
         (cache.directory / f"{corrupt_key}.json").write_text("{not json")
         # Arm the kill switch: the first worker to claim it dies.
         marker = tmp_path / "kill-once"
         marker.write_text("armed")
-        chaos_cells = [dict(cell, kill_marker=str(marker)) for cell in cells]
+        job = FabricJob(
+            kind="sweep",
+            params=dict(
+                SWEEP, n_cycles=300, seed=11, kill_marker=str(marker)
+            ),
+        )
 
         with telemetry() as registry:
-            survived = parallel_map(
-                _chaos_cell,
-                chaos_cells,
-                n_workers=2,
-                cache=cache,
-                cache_params=_simulated_cell_params,
-                retry_policy=RetryPolicy(
-                    max_attempts=3, backoff_seconds=0.01
+            report = FabricCoordinator(
+                job,
+                FabricConfig(
+                    n_workers=2,
+                    retry_policy=RetryPolicy(
+                        max_attempts=3, backoff_seconds=0.01
+                    ),
                 ),
-            )
+                cache=cache,
+            ).run()
             manifest = build_manifest(registry)
 
-        assert survived == reference
+        assert report.records == reference
         assert not marker.exists()
 
-        resilience = manifest["resilience"]
-        assert resilience["total_retries"] >= 1
-        assert resilience["retries"].get("worker-crash", 0) >= 1
-        assert resilience["pool_respawns"] >= 1
-        assert resilience["quarantined_cache_files"] == 1
+        fabric = manifest["fabric"]
+        assert len(fabric["worker_deaths"]) >= 1
+        assert sum(fabric["retries"].values()) >= 1
+        assert any(shard["attempt"] > 1 for shard in fabric["shards"])
+        assert manifest["resilience"]["quarantined_cache_files"] == 1
         assert len(cache.quarantined_files()) == 1
         # The corrupt entry was recomputed and recached, verified this time.
         assert cache.get(corrupt_key) == reference[0]
-
-    def test_unrecoverable_crash_exhausts_retries(self, tmp_path):
-        cells = _specs(n_cycles=100)[:2]
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            parallel_map(
-                _always_crashes,
-                cells,
-                n_workers=2,
-                retry_policy=RetryPolicy(
-                    max_attempts=2, backoff_seconds=0.01
-                ),
-            )
-        assert excinfo.value.attempts == 2
 
     def test_serial_retry_path_recovers_transient_failures(self, tmp_path):
         markers = []

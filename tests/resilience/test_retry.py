@@ -22,8 +22,6 @@ class TestPolicyValidation:
             {"backoff_factor": 0.5},
             {"jitter_fraction": -0.1},
             {"jitter_fraction": 1.5},
-            {"timeout_seconds": 0.0},
-            {"timeout_seconds": -3.0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

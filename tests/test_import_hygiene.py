@@ -2,7 +2,10 @@
 
 ``scipy`` is only a test oracle and ``networkx`` is needed only by
 ``clustered_task_graph`` and the matching arbiter, so neither may load
-when a fabric worker, the fabric coordinator or the server starts.  Each
+when a fabric worker, the fabric coordinator or the server starts.
+``multiprocessing`` and ``concurrent.futures.process`` stay unloaded
+too: the fabric spawns its workers with :mod:`subprocess`, and no
+start-up path needs a fork pool.  Each
 import runs in a fresh interpreter and only ``sys.modules`` is checked,
 so the test measures no time.
 """
@@ -16,7 +19,12 @@ import pytest
 
 import repro
 
-HEAVY = ("scipy", "networkx")
+HEAVY = (
+    "scipy",
+    "networkx",
+    "multiprocessing",
+    "concurrent.futures.process",
+)
 SOURCE_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
 
