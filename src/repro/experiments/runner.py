@@ -102,7 +102,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="N",
         help=(
             "run simulation-backed experiments across N fabric worker "
-            "processes (tree fan-out, heartbeats, crash re-sharding; "
+            "processes (heartbeats, crash re-sharding; "
             "default: serial; results are identical for any N)"
         ),
     )

@@ -129,7 +129,7 @@ def run(
     """Run both validation modes over representative configurations.
 
     ``n_workers > 1`` dispatches the cells across that many fabric
-    worker *processes* (tree fan-out, heartbeats, crash re-sharding —
+    worker *processes* (heartbeats, crash re-sharding —
     see :mod:`repro.fabric`) instead of the in-process loop; records
     are bit-identical either way.
     """

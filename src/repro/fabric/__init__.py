@@ -17,15 +17,15 @@ its serial reference:
   spawned by grid position, so shard boundaries can never change a
   record).
 * :mod:`repro.fabric.worker` — the worker process entrypoint
-  (``python -m repro.fabric.worker``): spawns its own children for
-  tree fan-out, relays frames up, evaluates its slices.
+  (``python -m repro.fabric.worker``): evaluates the slices sent to it
+  and streams results back.
 * :mod:`repro.fabric.coordinator` — :class:`FabricCoordinator`: shards
-  a job into GridSlices, fans out over the worker tree, tracks health
-  via heartbeats, and re-shards only the lost slices of a dead worker
-  through :mod:`repro.resilience.retry`.
+  a job into GridSlices, spawns every worker and reads each one's pipe,
+  tracks health via heartbeats, and re-shards only the lost slices of
+  a dead worker through :mod:`repro.resilience.retry`.
 
 Results are bit-identical to the single-process executor for any worker
-count, tree arity, or crash/retry interleaving.
+count or crash/retry interleaving.
 """
 
 from repro.fabric.coordinator import (

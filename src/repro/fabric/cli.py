@@ -1,11 +1,10 @@
 """``repro-fabric`` — run a distributed Monte-Carlo sweep from the shell.
 
-Dispatches one sweep job across a tree of fabric worker processes and
-prints the records (rendered table or JSON) plus a shard/timing
-summary.  Axis flags accept the same compact range syntax GridSlice
-canonical strings use: ``--buses 2-16/2`` is buses 2, 4, ..., 16 and
-``--rates 0.25-1.0/0.25`` is the paper's rate grid; plain comma lists
-work too.
+Dispatches one sweep job across fabric worker processes and prints the
+records (rendered table or JSON) plus a shard/timing summary.  Axis
+flags accept the same compact range syntax GridSlice canonical strings
+use: ``--buses 2-16/2`` is buses 2, 4, ..., 16 and ``--rates
+0.25-1.0/0.25`` is the paper's rate grid; plain comma lists work too.
 
 With ``--telemetry DIR`` the run executes under a live registry and
 writes the standard artifact trio (``manifest.json`` — including the
@@ -67,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fabric",
         description=(
-            "Run a Monte-Carlo bandwidth sweep across a tree of fabric "
-            "worker processes; records are bit-identical to the "
+            "Run a Monte-Carlo bandwidth sweep across fabric worker "
+            "processes; records are bit-identical to the "
             "single-process executor."
         ),
     )
@@ -91,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("auto", "loop", "vectorized"))
     parser.add_argument("--workers", type=int, default=4,
                         help="fabric worker processes")
-    parser.add_argument("--arity", type=int, default=8,
-                        help="worker-tree fan-out")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="ResultCache directory (cells already "
                         "present are served from disk)")
@@ -154,11 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     coordinator = FabricCoordinator(
         FabricJob(kind="sweep", params=params),
-        FabricConfig(
-            n_workers=args.workers,
-            arity=args.arity,
-            limits=limits,
-        ),
+        FabricConfig(n_workers=args.workers, limits=limits),
         cache=args.cache,
     )
     deadline = (
@@ -214,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"fabric: {report.cells} cells on {report.n_workers} workers "
-        f"(arity {report.arity}) in {elapsed:.2f}s; "
+        f"in {elapsed:.2f}s; "
         f"{len(report.shard_map)} shards, {report.retries} retries, "
         f"{len(report.worker_deaths)} deaths, "
         f"{report.cache_hits} cache hits, busy {busy:.2f}s",

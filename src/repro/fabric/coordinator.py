@@ -8,27 +8,26 @@ into records bit-identical to the single-process executor's:
    process spawns.
 2. **Shard** the remaining cells into balanced
    :class:`~repro.fabric.gridslice.GridSlice` shards — one per worker —
-   and dispatch them as canonical strings over the worker tree (the
-   coordinator only ever talks to its direct children; deeper WORK
-   frames are routed down by the workers themselves).
+   and send each as a canonical string down that worker's stdin.  The
+   coordinator spawns every worker itself and reads each one's stdout
+   pipe on its own reader thread.
 3. **Watch** worker heartbeats.  A worker that dies (pipe EOF, a
-   relayed ``dead`` frame, or heartbeat silence past
-   ``limits.heartbeat_timeout``) takes its whole subtree with it; only the
-   *lost* cells of its shards — assigned minus already-streamed — are
+   broken stdin pipe, or heartbeat silence past
+   ``limits.heartbeat_timeout``) loses only the cells of its shards it
+   had not yet streamed back — assigned minus received — and those are
    re-sharded across the survivors, with attempt accounting and
    deterministic backoff from :class:`~repro.resilience.retry.RetryPolicy`.
    Soft per-cell failures (an ERROR frame) retry the same way without
    costing a worker.  If every worker dies, the coordinator finishes
    the outstanding cells in-process rather than failing the run.
-4. **Gather** RESULT frames (streamed per cell, relayed verbatim up the
-   tree) into grid order, flush fresh records to the cache, and report
-   shard map, per-worker timings, retries and deaths — the
-   ``"fabric"`` manifest section is digested from the metrics this
-   emits.
+4. **Gather** RESULT frames (streamed per cell) into grid order, flush
+   fresh records to the cache, and report shard map, per-worker
+   timings, retries and deaths — the ``"fabric"`` manifest section is
+   digested from the metrics this emits.
 
 Because per-cell seeds are spawned by grid index when the job is
 *built* (identically by coordinator and every worker), records cannot
-depend on shard boundaries, worker count, arity, or crash/retry
+depend on shard boundaries, worker count, or crash/retry
 interleaving — the property the chaos suite pins down.
 """
 
@@ -46,7 +45,7 @@ from repro.exceptions import ConfigurationError, RetryExhaustedError
 from repro.fabric import wire
 from repro.fabric.gridslice import GridSlice
 from repro.fabric.jobs import FabricJob, build_job
-from repro.fabric.worker import children_of, route_step, spawn_child, subtree_of
+from repro.fabric.worker import spawn_child
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.resilience import chaos
@@ -61,6 +60,18 @@ __all__ = [
     "FabricReport",
     "fabric_simulated_sweep",
 ]
+
+
+#: Seconds to wait for worker processes to exit at teardown before
+#: killing them.
+_TEARDOWN_TIMEOUT = 10.0
+#: Bound on joining the per-worker reader threads at teardown.
+_READER_JOIN_TIMEOUT = 2.0
+#: Per-worker dispatch breaker: open on the first recorded failure, so
+#: a worker that died stays suspect until a probe delay elapses.
+_BREAKER_POLICY = BreakerPolicy(
+    failure_threshold=1, window_size=4, probe_delay_seconds=1.0
+)
 
 
 def _default_retry_policy() -> RetryPolicy:
@@ -78,24 +89,10 @@ class FabricLimits:
     heartbeat_timeout:
         Silence (no frame of any kind) after which a worker is declared
         dead and its lost cells re-sharded.  Must exceed the interval.
-    dispatch_deadline_seconds:
-        Optional ceiling on one run's dispatch+gather phase, applied
-        even when the caller passes no request
-        :class:`~repro.resilience.deadline.Deadline`; ``None`` leaves
-        the run bounded only by heartbeats and retries.
-    teardown_timeout:
-        Seconds to wait for worker processes to exit at teardown before
-        killing them (the previously hard-coded ``10.0``).
-    reader_join_timeout:
-        Bound on joining the per-worker reader threads at teardown —
-        they are never daemon-abandoned mid-run anymore.
     """
 
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 30.0
-    dispatch_deadline_seconds: float | None = None
-    teardown_timeout: float = 10.0
-    reader_join_timeout: float = 2.0
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -108,23 +105,6 @@ class FabricLimits:
                 "heartbeat_timeout must exceed heartbeat_interval, got "
                 f"{self.heartbeat_timeout} <= {self.heartbeat_interval}"
             )
-        if (
-            self.dispatch_deadline_seconds is not None
-            and self.dispatch_deadline_seconds <= 0
-        ):
-            raise ConfigurationError(
-                "dispatch_deadline_seconds must be positive, got "
-                f"{self.dispatch_deadline_seconds}"
-            )
-        if self.teardown_timeout < 0:
-            raise ConfigurationError(
-                f"teardown_timeout must be >= 0, got {self.teardown_timeout}"
-            )
-        if self.reader_join_timeout < 0:
-            raise ConfigurationError(
-                f"reader_join_timeout must be >= 0, got "
-                f"{self.reader_join_timeout}"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,44 +114,27 @@ class FabricConfig:
     Parameters
     ----------
     n_workers:
-        Worker *processes* (tree nodes 1..n); the coordinator itself
+        Worker *processes* (nodes 1..n); the coordinator itself
         computes nothing unless every worker dies.
-    arity:
-        Fan-out of the worker tree.  ``8`` keeps small fleets flat (the
-        coordinator talks to every worker directly); lower it to
-        exercise deep trees or to bound per-node pipe count.
     retry_policy:
         Attempt budget and deterministic backoff for lost/failed
         slices; re-shards beyond ``max_attempts`` raise
         :class:`~repro.exceptions.RetryExhaustedError`.
     limits:
-        The :class:`FabricLimits` set (heartbeats, dispatch deadline,
-        teardown/join bounds).
-    breaker_policy:
-        Per-worker circuit-breaker tuning.  The default trips a
-        worker's breaker open on its first recorded failure — a fabric
-        worker that died stays suspect until a probe delay elapses.
+        The :class:`FabricLimits` set (heartbeat interval and timeout).
     """
 
     n_workers: int = 4
-    arity: int = 8
     retry_policy: RetryPolicy = dataclasses.field(
         default_factory=_default_retry_policy
     )
     limits: FabricLimits = dataclasses.field(default_factory=FabricLimits)
-    breaker_policy: BreakerPolicy = dataclasses.field(
-        default_factory=lambda: BreakerPolicy(
-            failure_threshold=1, window_size=4, probe_delay_seconds=1.0
-        )
-    )
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
-        if self.arity < 1:
-            raise ConfigurationError(f"arity must be >= 1, got {self.arity}")
 
 
 @dataclasses.dataclass
@@ -189,7 +152,6 @@ class FabricReport:
     grid_axes: tuple[tuple[str, tuple], ...]
     cells: int
     n_workers: int
-    arity: int
     shard_map: list[dict]
     worker_timings: dict[int, dict]
     retries: int
@@ -212,7 +174,7 @@ class _Assignment:
 
 
 class FabricCoordinator:
-    """Run one job across a tree of worker processes; see module docs."""
+    """Run one job across a set of worker processes; see module docs."""
 
     def __init__(
         self,
@@ -256,7 +218,7 @@ class FabricCoordinator:
         breaker = self._breakers.get(node)
         if breaker is None:
             breaker = self._breakers[node] = CircuitBreaker(
-                f"fabric.worker.{node}", policy=self.config.breaker_policy
+                f"fabric.worker.{node}", policy=_BREAKER_POLICY
             )
         return breaker
 
@@ -275,11 +237,9 @@ class FabricCoordinator:
         self._frames.put(("eof", node))
 
     def _send_down(self, target: int, frame: dict) -> bool:
-        """Route one frame toward worker ``target``; False if unroutable."""
-        try:
-            hop = route_step(0, target, self.config.arity)
-            proc = self._children[hop]
-        except (ValueError, KeyError):
+        """Write one frame to worker ``target``; False if unroutable."""
+        proc = self._children.get(target)
+        if proc is None:
             return False
         try:
             wire.write_frame(proc.stdin, frame)
@@ -290,24 +250,19 @@ class FabricCoordinator:
     def _spawn_workers(self) -> None:
         hello = {
             "type": "hello",
-            "node": 0,
-            "n_workers": self.config.n_workers,
-            "arity": self.config.arity,
             "heartbeat_interval": self.config.limits.heartbeat_interval,
             "job": self.job.to_wire(),
         }
         extra_env = None
         if self._deadline is not None:
-            # The remaining budget travels both as a HELLO field (read
-            # by every node as the frame is relayed down the tree) and
-            # as the worker env var, for tooling spawned off the worker.
+            # The remaining budget travels both as a HELLO field and as
+            # the worker env var, for tooling spawned off the worker.
             hello["deadline_ms"] = int(self._deadline.header_value())
             extra_env = {ENV_DEADLINE_MS: self._deadline.header_value()}
         now = time.monotonic()
         for node in range(1, self.config.n_workers + 1):
             self._alive.add(node)
             self._last_seen[node] = now
-        for node in children_of(0, self.config.arity, self.config.n_workers):
             proc = spawn_child(dict(hello, node=node), extra_env=extra_env)
             self._children[node] = proc
             reader = threading.Thread(
@@ -330,7 +285,7 @@ class FabricCoordinator:
                 proc.stdin.close()
             except (BrokenPipeError, ValueError, OSError):
                 pass
-        deadline = time.monotonic() + self.config.limits.teardown_timeout
+        deadline = time.monotonic() + _TEARDOWN_TIMEOUT
         for proc in self._children.values():
             try:
                 proc.wait(timeout=max(0.0, deadline - time.monotonic()))
@@ -338,10 +293,10 @@ class FabricCoordinator:
                 proc.kill()
                 proc.wait()
         # With every child reaped the reader threads are at (or one
-        # read from) EOF; join them within the configured bound instead
-        # of daemon-abandoning, so no reader outlives its run and races
-        # a later coordinator's frame queue.
-        join_by = time.monotonic() + self.config.limits.reader_join_timeout
+        # read from) EOF; join them within a bound instead of
+        # daemon-abandoning, so no reader outlives its run and races a
+        # later coordinator's frame queue.
+        join_by = time.monotonic() + _READER_JOIN_TIMEOUT
         for reader in self._readers:
             reader.join(timeout=max(0.0, join_by - time.monotonic()))
         leaked = sum(1 for reader in self._readers if reader.is_alive())
@@ -353,15 +308,11 @@ class FabricCoordinator:
 
     def _dispatch(self, grid_slice: GridSlice, node: int, attempt: int) -> None:
         # Chaos site ``fabric.dispatch``: a ``kill_worker`` rule kills
-        # the child process this dispatch would route through, right
-        # before the WORK frame is sent — the mid-slice crash the
-        # re-shard path must absorb without changing a single record.
+        # the target worker's process right before the WORK frame is
+        # sent — the mid-slice crash the re-shard path must absorb
+        # without changing a single record.
         if chaos.inject("fabric.dispatch") == "kill_worker":
-            try:
-                hop = route_step(0, node, self.config.arity)
-            except ValueError:
-                hop = None
-            proc = self._children.get(hop) if hop is not None else None
+            proc = self._children.get(node)
             if proc is not None:
                 proc.kill()
         self._work_counter += 1
@@ -391,7 +342,7 @@ class FabricCoordinator:
         if not self._send_down(
             node, {"type": "work", "to": node, "work": work, "slice": canonical}
         ):
-            # The route collapsed under us; treat it like a dead worker.
+            # The pipe collapsed under us; treat it like a dead worker.
             self._handle_death(node, "unroutable")
 
     def _alive_ring(self) -> list[int]:
@@ -451,22 +402,16 @@ class FabricCoordinator:
         self._shard_across(grid_slice, attempt + 1)
 
     def _handle_death(self, node: int, reason: str) -> None:
-        """Mark ``node``'s subtree dead and re-shard its lost cells."""
-        lost_nodes = [
-            n
-            for n in subtree_of(node, self.config.arity, self.config.n_workers)
-            if n in self._alive
-        ]
-        if not lost_nodes:
+        """Mark ``node`` dead and re-shard its lost cells."""
+        if node not in self._alive:
             return
-        for lost in lost_nodes:
-            self._alive.discard(lost)
-            self._breaker(lost).record_failure()
-            self._worker_deaths.append({"node": lost, "reason": reason})
-            self._registry.increment("fabric.worker_deaths", reason=reason)
-            self._registry.record_event(
-                "fabric.worker_dead", node=lost, reason=reason
-            )
+        self._alive.discard(node)
+        self._breaker(node).record_failure()
+        self._worker_deaths.append({"node": node, "reason": reason})
+        self._registry.increment("fabric.worker_deaths", reason=reason)
+        self._registry.record_event(
+            "fabric.worker_dead", node=node, reason=reason
+        )
         proc = self._children.pop(node, None)
         if proc is not None:
             try:
@@ -475,9 +420,8 @@ class FabricCoordinator:
                 pass
             proc.kill()
             proc.wait()
-        dead_set = set(lost_nodes)
         for assignment in list(self._assignments.values()):
-            if assignment.done or assignment.node not in dead_set:
+            if assignment.done or assignment.node != node:
                 continue
             assignment.done = True
             self._registry.increment("fabric.slices", status="lost")
@@ -511,14 +455,9 @@ class FabricCoordinator:
         re-shard backoffs are clipped to the remaining budget, and
         expiry raises a structured
         :class:`~repro.exceptions.DeadlineExceededError` within one
-        heartbeat interval.  When omitted,
-        ``config.limits.dispatch_deadline_seconds`` (if set) starts a
-        budget of its own.
+        heartbeat interval.  Without one, the run is bounded only by
+        heartbeats and retries.
         """
-        if deadline is None:
-            ceiling = self.config.limits.dispatch_deadline_seconds
-            if ceiling is not None:
-                deadline = Deadline(ceiling * 1000.0)
         self._deadline = deadline
         self._plan = build_job(self.job)
         plan = self._plan
@@ -560,7 +499,6 @@ class FabricCoordinator:
             grid_axes=plan.grid.axes,
             cells=len(all_indices),
             n_workers=self.config.n_workers,
-            arity=self.config.arity,
             shard_map=self._shard_map,
             worker_timings=self._worker_timings,
             retries=self._retries,
@@ -636,8 +574,6 @@ class FabricCoordinator:
             self._handle_done(frame)
         elif kind == "error":
             self._handle_error(frame)
-        elif kind == "dead":
-            self._handle_death(int(frame["node"]), "reported")
 
     def _handle_result(self, frame: dict) -> None:
         assignment = self._assignments.get(int(frame.get("work", -1)))
@@ -723,7 +659,6 @@ def fabric_simulated_sweep(
     seed: int = 0,
     backend: str = "auto",
     n_workers: int = 4,
-    arity: int = 8,
     cache: "ResultCache | str | Path | None" = None,
     retry_policy: RetryPolicy | None = None,
     limits: FabricLimits | None = None,
@@ -753,7 +688,7 @@ def fabric_simulated_sweep(
         params["M"] = n_memories
     if network_kwargs:
         params["network_kwargs"] = dict(network_kwargs)
-    config_kwargs: dict = {"n_workers": n_workers, "arity": arity}
+    config_kwargs: dict = {"n_workers": n_workers}
     if retry_policy is not None:
         config_kwargs["retry_policy"] = retry_policy
     if limits is not None:

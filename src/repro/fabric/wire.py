@@ -1,6 +1,7 @@
 """Length-prefixed JSON frame protocol for fabric pipes.
 
-Every message between a fabric node and its parent is one *frame*::
+Every message between the fabric coordinator and a worker is one
+*frame*::
 
     +--------+----------------+------------------+
     | codec  | payload length |     payload      |
@@ -13,9 +14,8 @@ value as a malformed frame.  JSON round-trips Python floats exactly via
 compared ``==`` against the single-process executor.
 
 Frames are written whole under the caller's lock and read with
-blocking exact-length reads, so a relay node can forward a frame's raw
-bytes verbatim without re-encoding (:func:`read_raw_frame` /
-:func:`write_raw_frame`).
+blocking exact-length reads (:func:`read_raw_frame` /
+:func:`write_raw_frame` move the encoded bytes).
 """
 
 from __future__ import annotations

@@ -1,26 +1,16 @@
 """The fabric worker process: ``python -m repro.fabric.worker``.
 
-A worker is one node of the fabric tree.  It is configured entirely by
-the HELLO frame on stdin (node id, worker count, tree arity,
-heartbeat interval, and the :class:`~repro.fabric.jobs.FabricJob`), so
-the command line is bare and the process is spawnable by either the
-coordinator or another worker.
-
-Tree shape: the coordinator is node ``0``; workers are nodes ``1..n``
-in heap order, so node ``k``'s children are ``arity*k + 1 ..
-arity*k + arity`` (capped at ``n``).  Each worker spawns its own
-children, which is what makes deep trees cost O(arity) spawns per node
-instead of O(n) at the coordinator.
+A worker is configured entirely by the HELLO frame on stdin (node id,
+heartbeat interval, optional deadline, and the
+:class:`~repro.fabric.jobs.FabricJob`), so the command line is bare.
+The coordinator spawns every worker itself (nodes ``1..n``) and reads
+each one's stdout pipe.
 
 Data flow:
 
-* **down** — frames addressed by node id (``{"to": k}``); a worker
-  consumes frames addressed to itself and routes the rest to the child
-  whose subtree contains the target.  ``shutdown`` broadcasts.
-* **up** — RESULT / DONE / ERROR / HEARTBEAT / READY frames; relay
-  threads forward children's raw frames verbatim (gather up the tree),
-  and a child pipe hitting EOF emits a ``dead`` frame so the
-  coordinator can re-shard the lost subtree's slices.
+* **down** — WORK frames (``{"to": k}``) addressed to this node are
+  queued for evaluation; ``shutdown`` (or EOF on stdin) stops it.
+* **up** — RESULT / DONE / ERROR / HEARTBEAT / READY frames on stdout.
 
 Evaluation runs on a separate thread against a
 :class:`~repro.fabric.jobs.JobPlan` built locally from the HELLO's job
@@ -44,57 +34,10 @@ from repro.fabric.jobs import FabricJob, build_job
 from repro.resilience.deadline import Deadline, deadline_from_env
 
 __all__ = [
-    "children_of",
-    "parent_of",
-    "route_step",
-    "subtree_of",
     "spawn_child",
     "run_worker",
     "main",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Tree topology (heap numbering, coordinator = node 0)
-# ---------------------------------------------------------------------------
-
-
-def children_of(node: int, arity: int, n_workers: int) -> list[int]:
-    """Direct children of ``node`` in an ``arity``-ary heap of workers."""
-    first = arity * node + 1
-    return [c for c in range(first, first + arity) if c <= n_workers]
-
-
-def parent_of(node: int, arity: int) -> int:
-    """The parent node id (node 0 is the coordinator and has none)."""
-    if node < 1:
-        raise ValueError(f"node {node} has no parent")
-    return (node - 1) // arity
-
-
-def route_step(node: int, target: int, arity: int) -> int:
-    """The direct child of ``node`` whose subtree contains ``target``."""
-    hop = target
-    while hop > 0:
-        parent = parent_of(hop, arity)
-        if parent == node:
-            return hop
-        hop = parent
-    raise ValueError(f"node {target} is not in the subtree of {node}")
-
-
-def subtree_of(node: int, arity: int, n_workers: int) -> list[int]:
-    """``node`` and every descendant worker, ascending."""
-    members = [node] if node >= 1 else []
-    frontier = children_of(node, arity, n_workers)
-    while frontier:
-        members.extend(frontier)
-        frontier = [
-            grandchild
-            for child in frontier
-            for grandchild in children_of(child, arity, n_workers)
-        ]
-    return sorted(members)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +107,8 @@ class _WorkerNode:
         self._out_lock = threading.Lock()
         self._stop = threading.Event()
         self._work_queue: queue.Queue = queue.Queue()
-        self._children: dict[int, subprocess.Popen] = {}
         self._done_cells = 0
         self.node = -1
-        self.arity = 1
-        self.n_workers = 0
         self.deadline: Deadline | None = None
 
     def _send(self, message: dict) -> None:
@@ -178,27 +118,7 @@ class _WorkerNode:
             # Parent is gone; we are about to notice EOF and exit.
             self._stop.set()
 
-    def _forward_raw(self, raw: bytes) -> None:
-        try:
-            wire.write_raw_frame(self._out, raw, lock=self._out_lock)
-        except (BrokenPipeError, ValueError, OSError):
-            self._stop.set()
-
     # -- threads ------------------------------------------------------
-
-    def _relay_loop(self, child_node: int, proc: subprocess.Popen) -> None:
-        """Forward one child's frames verbatim; report EOF as a death."""
-        stream = proc.stdout
-        while True:
-            try:
-                raw = wire.read_raw_frame(stream)
-            except wire.FrameError:
-                raw = None  # killed mid-frame: same as EOF
-            if raw is None:
-                break
-            self._forward_raw(raw)
-        if not self._stop.is_set():
-            self._send({"type": "dead", "node": child_node})
 
     def _heartbeat_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
@@ -280,8 +200,6 @@ class _WorkerNode:
         if hello is None or hello.get("type") != "hello":
             return 1
         self.node = int(hello["node"])
-        self.n_workers = int(hello["n_workers"])
-        self.arity = int(hello["arity"])
         interval = float(hello.get("heartbeat_interval", 0.5))
         budget_ms = hello.get("deadline_ms")
         if budget_ms is not None:
@@ -305,17 +223,6 @@ class _WorkerNode:
             )
             return 1
 
-        for child_node in children_of(self.node, self.arity, self.n_workers):
-            child_hello = dict(hello, node=child_node)
-            proc = spawn_child(child_hello)
-            self._children[child_node] = proc
-            threading.Thread(
-                target=self._relay_loop,
-                args=(child_node, proc),
-                daemon=True,
-                name=f"relay-{child_node}",
-            ).start()
-
         self._send({"type": "ready", "node": self.node, "pid": os.getpid()})
         threading.Thread(
             target=self._heartbeat_loop,
@@ -336,63 +243,15 @@ class _WorkerNode:
                 frame = wire.read_frame(self._in)
             except wire.FrameError:
                 break
-            if frame is None:
+            if frame is None or frame.get("type") == "shutdown":
                 break
-            kind = frame.get("type")
-            if kind == "shutdown":
-                self._broadcast(frame)
-                break
-            if kind == "work":
-                target = int(frame["to"])
-                if target == self.node:
-                    self._work_queue.put(frame)
-                else:
-                    self._route_down(target, frame)
+            if frame.get("type") == "work" and int(frame["to"]) == self.node:
+                self._work_queue.put(frame)
 
-        self._shutdown(evaluator)
-        return 0
-
-    def _broadcast(self, frame: dict) -> None:
-        for proc in self._children.values():
-            self._child_write(proc, frame)
-
-    def _route_down(self, target: int, frame: dict) -> None:
-        try:
-            hop = route_step(self.node, target, self.arity)
-            proc = self._children[hop]
-        except (ValueError, KeyError):
-            self._send(
-                {
-                    "type": "error",
-                    "node": self.node,
-                    "error": f"no route from node {self.node} to {target}",
-                }
-            )
-            return
-        self._child_write(proc, frame)
-
-    def _child_write(self, proc: subprocess.Popen, frame: dict) -> None:
-        try:
-            wire.write_frame(proc.stdin, frame)
-        except (BrokenPipeError, ValueError, OSError):
-            pass  # the relay thread reports the death
-
-    def _shutdown(self, evaluator: threading.Thread) -> None:
         self._stop.set()
         self._work_queue.put(None)
-        for proc in self._children.values():
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-        deadline = time.monotonic() + 5.0
-        for proc in self._children.values():
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
         evaluator.join(timeout=1.0)
+        return 0
 
 
 def run_worker(inp, out) -> int:

@@ -102,10 +102,18 @@ def _labelled_totals(
 
 
 def _resilience_section(registry: MetricsRegistry) -> dict[str, object]:
-    """Retry / crash-recovery / cache-quarantine digest of a run."""
+    """Retry / crash-recovery / cache-quarantine digest of a run.
+
+    ``retries`` merges the serial executor's retries with the fabric's
+    re-shards, by reason.
+    """
+    retries = _labelled_totals(registry, "parallel.retries", "reason")
+    fabric = _labelled_totals(registry, "fabric.retries", "reason")
+    for reason, count in fabric.items():
+        retries[reason] = retries.get(reason, 0) + count
     return {
-        "retries": _labelled_totals(registry, "parallel.retries", "reason"),
-        "total_retries": int(registry.counter_total("parallel.retries")),
+        "retries": dict(sorted(retries.items())),
+        "total_retries": sum(retries.values()),
         "quarantined_cache_files": int(
             registry.counter_total("parallel.disk_cache.quarantined")
         ),

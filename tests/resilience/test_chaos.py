@@ -83,6 +83,9 @@ class TestChaosSweep:
         fabric = manifest["fabric"]
         assert len(fabric["worker_deaths"]) >= 1
         assert sum(fabric["retries"].values()) >= 1
+        assert manifest["resilience"]["total_retries"] == sum(
+            fabric["retries"].values()
+        )
         assert any(shard["attempt"] > 1 for shard in fabric["shards"])
         assert manifest["resilience"]["quarantined_cache_files"] == 1
         assert len(cache.quarantined_files()) == 1
