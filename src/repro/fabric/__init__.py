@@ -16,11 +16,12 @@ its serial reference:
   descriptions both sides rebuild identically (per-cell seeds are
   spawned by grid position, so shard boundaries can never change a
   record).
-* :mod:`repro.fabric.worker` — the worker process entrypoint
-  (``python -m repro.fabric.worker``): evaluates the slices sent to it
-  and streams results back.
+* :mod:`repro.fabric.worker` — the worker process, forked from the
+  coordinator by :func:`~repro.fabric.worker.spawn_child` (POSIX
+  ``os.fork``): evaluates the slices sent to it and streams results
+  back.
 * :mod:`repro.fabric.coordinator` — :class:`FabricCoordinator`: shards
-  a job into GridSlices, spawns every worker and reads each one's pipe,
+  a job into GridSlices, forks every worker and reads each one's pipe,
   tracks health via heartbeats, and re-shards only the lost slices of
   a dead worker through :mod:`repro.resilience.retry`.
 

@@ -9,8 +9,9 @@ into records bit-identical to the single-process executor's:
 2. **Shard** the remaining cells into balanced
    :class:`~repro.fabric.gridslice.GridSlice` shards — one per worker —
    and send each as a canonical string down that worker's stdin.  The
-   coordinator spawns every worker itself and reads each one's stdout
-   pipe on its own reader thread.
+   coordinator forks every worker itself, never more than there are
+   outstanding cells, and reads each one's stdout pipe on its own
+   reader thread.
 3. **Watch** worker heartbeats.  A worker that dies (pipe EOF, a
    broken stdin pipe, or heartbeat silence past
    ``limits.heartbeat_timeout``) loses only the cells of its shards it
@@ -45,7 +46,7 @@ from repro.exceptions import ConfigurationError, RetryExhaustedError
 from repro.fabric import wire
 from repro.fabric.gridslice import GridSlice
 from repro.fabric.jobs import FabricJob, build_job
-from repro.fabric.worker import spawn_child
+from repro.fabric.worker import WorkerProcess, spawn_child
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.resilience import chaos
@@ -114,8 +115,9 @@ class FabricConfig:
     Parameters
     ----------
     n_workers:
-        Worker *processes* (nodes 1..n); the coordinator itself
-        computes nothing unless every worker dies.
+        Worker *processes* (nodes 1..n; fewer when fewer cells are
+        outstanding); the coordinator itself computes nothing unless
+        every worker dies.
     retry_policy:
         Attempt budget and deterministic backoff for lost/failed
         slices; re-shards beyond ``max_attempts`` raise
@@ -186,7 +188,7 @@ class FabricCoordinator:
         self.config = config or FabricConfig()
         self._cache = _as_cache(cache)
         self._frames: queue.Queue = queue.Queue()
-        self._children: dict[int, subprocess.Popen] = {}
+        self._children: dict[int, WorkerProcess] = {}
         self._alive: set[int] = set()
         self._last_seen: dict[int, float] = {}
         self._pids: dict[int, int] = {}
@@ -224,16 +226,17 @@ class FabricCoordinator:
 
     # -- plumbing -----------------------------------------------------
 
-    def _reader_loop(self, node: int, proc: subprocess.Popen) -> None:
-        stream = proc.stdout
-        while True:
-            try:
-                frame = wire.read_frame(stream)
-            except wire.FrameError:
-                frame = None
-            if frame is None:
-                break
-            self._frames.put(("frame", frame))
+    def _reader_loop(self, node: int, proc: WorkerProcess) -> None:
+        # The reader is the pipe's only user, so it closes it.
+        with proc.stdout as stream:
+            while True:
+                try:
+                    frame = wire.read_frame(stream)
+                except wire.FrameError:
+                    frame = None
+                if frame is None:
+                    break
+                self._frames.put(("frame", frame))
         self._frames.put(("eof", node))
 
     def _send_down(self, target: int, frame: dict) -> bool:
@@ -247,7 +250,7 @@ class FabricCoordinator:
             return False
         return True
 
-    def _spawn_workers(self) -> None:
+    def _spawn_workers(self, n_workers: int) -> None:
         hello = {
             "type": "hello",
             "heartbeat_interval": self.config.limits.heartbeat_interval,
@@ -260,11 +263,15 @@ class FabricCoordinator:
             hello["deadline_ms"] = int(self._deadline.header_value())
             extra_env = {ENV_DEADLINE_MS: self._deadline.header_value()}
         now = time.monotonic()
-        for node in range(1, self.config.n_workers + 1):
+        # Every fork precedes every reader thread: a child forked while
+        # a reader runs would copy whatever lock that thread held.
+        for node in range(1, n_workers + 1):
             self._alive.add(node)
             self._last_seen[node] = now
-            proc = spawn_child(dict(hello, node=node), extra_env=extra_env)
-            self._children[node] = proc
+            self._children[node] = spawn_child(
+                dict(hello, node=node), extra_env=extra_env
+            )
+        for node, proc in self._children.items():
             reader = threading.Thread(
                 target=self._reader_loop,
                 args=(node, proc),
@@ -273,9 +280,7 @@ class FabricCoordinator:
             )
             self._readers.append(reader)
             reader.start()
-        self._registry.increment(
-            "fabric.workers_spawned", value=self.config.n_workers
-        )
+        self._registry.increment("fabric.workers_spawned", value=n_workers)
 
     def _teardown(self) -> None:
         shutdown = {"type": "shutdown"}
@@ -485,7 +490,10 @@ class FabricCoordinator:
             workers=self.config.n_workers,
         ):
             if outstanding:
-                self._spawn_workers()
+                # A worker with no cell to evaluate would only idle.
+                self._spawn_workers(
+                    min(self.config.n_workers, len(outstanding))
+                )
                 try:
                     self._gather(plan, outstanding)
                 finally:

@@ -1,10 +1,12 @@
-"""The fabric worker process: ``python -m repro.fabric.worker``.
+"""The fabric worker process, forked from the coordinator.
 
-A worker is configured entirely by the HELLO frame on stdin (node id,
-heartbeat interval, optional deadline, and the
-:class:`~repro.fabric.jobs.FabricJob`), so the command line is bare.
-The coordinator spawns every worker itself (nodes ``1..n``) and reads
-each one's stdout pipe.
+:func:`spawn_child` forks the coordinator, which has already imported
+``repro`` and numpy, so a worker starts without an interpreter launch
+or an import.  The child is configured entirely by the HELLO frame on
+its stdin (node id, heartbeat interval, optional deadline, and the
+:class:`~repro.fabric.jobs.FabricJob`), exactly as a freshly started
+interpreter would be.  The coordinator spawns every worker itself
+(nodes ``1..n``) and reads each one's stdout pipe.
 
 Data flow:
 
@@ -16,27 +18,39 @@ Evaluation runs on a separate thread against a
 :class:`~repro.fabric.jobs.JobPlan` built locally from the HELLO's job
 description; every cell is evaluated on a fresh deep copy of its spec,
 so a retried cell can never observe a consumed SeedSequence.
+
+Forking needs a POSIX ``os.fork``.  Python 3.12 warns
+(``DeprecationWarning``) on every ``os.fork`` in a process with more
+than one OS thread, and numpy's OpenBLAS thread pool always makes it
+more than one.  The warning is left in place: the coordinator forks
+before it starts any reader thread, and OpenBLAS's own ``atfork``
+handler quiesces its pool, so the child starts with one consistent
+thread.
 """
 
 from __future__ import annotations
 
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
+import traceback
+from typing import BinaryIO, NoReturn
 
 from repro.fabric import wire
 from repro.fabric.gridslice import GridSlice
 from repro.fabric.jobs import FabricJob, build_job
+from repro.obs.metrics import disable_telemetry
+from repro.resilience import chaos
 from repro.resilience.deadline import Deadline, deadline_from_env
 
 __all__ = [
+    "WorkerProcess",
     "spawn_child",
     "run_worker",
-    "main",
 ]
 
 
@@ -45,54 +59,109 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _child_env() -> dict[str, str]:
-    """The child's environment: inherited, plus a robust import path.
+class WorkerProcess:
+    """A forked worker, with the part of ``subprocess.Popen`` the
+    coordinator uses: ``pid``, ``stdin``, ``stdout``, ``poll``,
+    ``wait`` and ``kill``.
 
-    The tier-1 invocation sets a *relative* ``PYTHONPATH=src``, which
-    would break if a child's working directory ever differed; pinning
-    the absolute location of the installed/checked-out ``repro``
-    package makes spawns location-independent.  Everything else passes
-    through.
+    ``poll`` and ``wait`` reap the child with ``waitpid``, so a worker
+    never lingers as a zombie and its CPU time is added to the
+    coordinator's ``RUSAGE_CHILDREN``.
     """
-    import repro
 
-    package_root = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    parts = [package_root] + ([existing] if existing else [])
-    env["PYTHONPATH"] = os.pathsep.join(parts)
-    return env
+    def __init__(self, pid: int, stdin: BinaryIO, stdout: BinaryIO):
+        self.pid = pid
+        self.stdin = stdin
+        self.stdout = stdout
+        self.returncode: int | None = None
 
+    def poll(self) -> int | None:
+        """The exit code if the child has exited (reaping it), else None."""
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
 
-#: Spawn command body: importing the module (rather than ``-m``) avoids
-#: runpy's double-execution warning, since the fabric package itself
-#: imports this module.
-_SPAWN_SNIPPET = (
-    "import repro.fabric.worker as w; raise SystemExit(w.main())"
-)
+    def wait(self, timeout: float | None = None) -> int:
+        """Reap the child; raise ``subprocess.TimeoutExpired`` if it is
+        still running after ``timeout`` seconds."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(
+                    f"fabric worker {self.pid}", timeout
+                )
+            delay = min(delay * 2, 0.05)
+            time.sleep(delay)
+        return self.returncode
+
+    def kill(self) -> None:
+        """SIGKILL the child unless it has already been reaped.
+
+        An exited but unreaped child keeps its pid, so the signal can
+        never reach a different process.
+        """
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
 
 
 def spawn_child(
     hello: dict, extra_env: dict[str, str] | None = None
-) -> subprocess.Popen:
-    """Spawn one worker process and send it its HELLO frame.
+) -> WorkerProcess:
+    """Fork one worker process and send it its HELLO frame.
 
-    ``extra_env`` overlays the inherited environment — the coordinator
+    ``extra_env`` overlays the child's environment — the coordinator
     uses it to hand the remaining request budget down as
-    ``REPRO_DEADLINE_MS``.
+    ``REPRO_DEADLINE_MS``.  The caller must fork every worker before it
+    starts any thread of its own, so the child copies no lock another
+    thread holds.
     """
-    env = _child_env()
-    if extra_env:
-        env.update(extra_env)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _SPAWN_SNIPPET],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=None,  # passes through for debuggability
-        env=env,
+    child_in, parent_out = os.pipe()
+    parent_in, child_out = os.pipe()
+    # Whatever is still buffered would otherwise be written twice.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        _worker_main(child_in, child_out, extra_env)
+    os.close(child_in)
+    os.close(child_out)
+    proc = WorkerProcess(
+        pid, os.fdopen(parent_out, "wb"), os.fdopen(parent_in, "rb")
     )
     wire.write_frame(proc.stdin, hello)
     return proc
+
+
+def _worker_main(
+    stdin_fd: int, stdout_fd: int, extra_env: dict[str, str] | None
+) -> NoReturn:
+    """The forked child: become a bare worker process, run, and exit.
+
+    It leaves through ``os._exit`` and never returns into the frames
+    it was forked from, whose ``finally`` blocks, ``atexit`` handlers
+    and buffered output belong to the coordinator.
+    """
+    code = 1
+    try:
+        os.dup2(stdin_fd, 0)
+        os.dup2(stdout_fd, 1)
+        # Keeping a copy of its own or a sibling's pipe end would hide
+        # the coordinator's EOF from that worker.
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        if extra_env:
+            os.environ.update(extra_env)
+        disable_telemetry()
+        chaos.uninstall_plan()
+        code = run_worker(os.fdopen(0, "rb"), os.fdopen(1, "wb"))
+    except BaseException:
+        # Report like the interpreter would, then exit below regardless.
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +326,3 @@ class _WorkerNode:
 def run_worker(inp, out) -> int:
     """Run one worker node over the given binary streams."""
     return _WorkerNode(inp, out).run()
-
-
-def main() -> int:
-    """Process entrypoint: frames on stdin/stdout, logs on stderr."""
-    return run_worker(sys.stdin.buffer, sys.stdout.buffer)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
