@@ -54,6 +54,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.simulation.engine import simulate_bandwidth
 from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network, check_scheme_kwargs
+from repro.workloads.generator import ModelRequestGenerator
 
 __all__ = [
     "spawn_seeds",
@@ -439,7 +440,8 @@ def _simulated_cell(spec: dict) -> dict[str, object]:
     forms for paper schemes, exact enumeration (small M) or ``None``
     for custom structures.  The record reads only the bandwidth and its
     interval, so the simulation runs with ``views=False`` and skips
-    arbitration.
+    arbitration.  It draws requests from the spec's ``generator``, which
+    cells of one request model share.
     """
     network = build_network(
         spec["scheme"],
@@ -451,7 +453,7 @@ def _simulated_cell(spec: dict) -> dict[str, object]:
     model: RequestModel = spec["model"]
     result = simulate_bandwidth(
         network,
-        model,
+        spec["generator"],
         n_cycles=spec["n_cycles"],
         seed=spec["seed"],
         backend=spec["backend"],
@@ -508,6 +510,11 @@ def sweep_cell_specs(
     harness wrapping :func:`_simulated_cell` — computes identical
     records from the same specs.  Invalid ``(scheme, B)`` combinations
     are skipped like the blank cells of the paper's tables.
+
+    Cells of one ``(rate, model)`` pair share one model object and one
+    :class:`~repro.workloads.generator.ModelRequestGenerator` (its
+    destination tables are built once, not once per bus count); both
+    are read-only, so evaluating a spec never changes it.
     """
     check_scheme_kwargs(scheme, network_kwargs)
     if n_memories is None:
@@ -515,6 +522,7 @@ def sweep_cell_specs(
     cells: list[dict] = []
     for rate in rates:
         models = model_factory(n_processors, rate)
+        generators: dict[str, ModelRequestGenerator] = {}
         for n_buses in bus_counts:
             try:
                 build_network(
@@ -523,6 +531,8 @@ def sweep_cell_specs(
             except ConfigurationError:
                 continue
             for name, model in models.items():
+                if name not in generators:
+                    generators[name] = ModelRequestGenerator(model)
                 cells.append(
                     {
                         "scheme": scheme,
@@ -531,6 +541,7 @@ def sweep_cell_specs(
                         "B": n_buses,
                         "r": rate,
                         "model": model,
+                        "generator": generators[name],
                         "model_name": name,
                         "model_factory_name": getattr(
                             model_factory, "__qualname__", str(model_factory)

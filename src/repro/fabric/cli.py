@@ -198,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
                 report.records,
                 title=(
                     f"Simulated bandwidth, {args.scheme} scheme, "
-                    f"N={args.N} ({args.workers} fabric workers)"
+                    f"N={args.N} ({report.n_workers} fabric workers)"
                 ),
             )
         )

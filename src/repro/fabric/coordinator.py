@@ -147,7 +147,9 @@ class FabricReport:
     single-process executor emits — so callers can compare the two with
     ``==``.  ``shard_map`` is one entry per WORK dispatch (re-shards
     included), keyed by canonical slice strings; it is what lands in
-    the ``"fabric"`` manifest section's ``shards`` list.
+    the ``"fabric"`` manifest section's ``shards`` list.  ``n_workers``
+    counts the workers spawned: no more than the cells outstanding, and
+    zero when the cache served every cell.
     """
 
     records: list[dict]
@@ -483,17 +485,16 @@ class FabricCoordinator:
             self._registry.increment("fabric.cache_hits", value=cache_hits)
 
         outstanding = set(all_indices) - set(self._results)
+        # A worker with no cell to evaluate would only idle.
+        n_workers = min(self.config.n_workers, len(outstanding))
         with span(
             "fabric.run",
             job=self.job.kind,
             cells=len(all_indices),
-            workers=self.config.n_workers,
+            workers=n_workers,
         ):
             if outstanding:
-                # A worker with no cell to evaluate would only idle.
-                self._spawn_workers(
-                    min(self.config.n_workers, len(outstanding))
-                )
+                self._spawn_workers(n_workers)
                 try:
                     self._gather(plan, outstanding)
                 finally:
@@ -506,7 +507,7 @@ class FabricCoordinator:
             records=records,
             grid_axes=plan.grid.axes,
             cells=len(all_indices),
-            n_workers=self.config.n_workers,
+            n_workers=n_workers,
             shard_map=self._shard_map,
             worker_timings=self._worker_timings,
             retries=self._retries,

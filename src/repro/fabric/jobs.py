@@ -30,7 +30,6 @@ set of *valid* cells — exactly the records the serial executor emits.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import os
 import signal
@@ -73,9 +72,9 @@ class JobPlan:
     """A built job: the grid, the cell map, and how to evaluate a cell.
 
     ``cells`` maps flat grid indices to evaluation specs.  ``evaluate``
-    receives a *private deep copy* of the spec (running a cell spawns
-    children from its SeedSequence in place, so retries must never see
-    a consumed spec).  ``cache_params`` maps a spec to its JSON-safe
+    receives the spec itself: no evaluator changes a spec (per-cell
+    seeds are derived without mutating their SeedSequence), so a retry
+    sees the spec as built.  ``cache_params`` maps a spec to its JSON-safe
     :class:`~repro.analysis.parallel.ResultCache` identity, or ``None``
     when the kind has no disk-cache story.
     """
@@ -86,8 +85,8 @@ class JobPlan:
     cache_params: Callable[[dict], dict] | None = None
 
     def run_cell(self, index: int) -> dict:
-        """Evaluate one cell by grid index on a fresh copy of its spec."""
-        return self.evaluate(copy.deepcopy(self.cells[index]))
+        """Evaluate one cell by grid index."""
+        return self.evaluate(self.cells[index])
 
 
 def _chaos_wrap(evaluate: Callable, kill_marker: str) -> Callable:

@@ -19,6 +19,7 @@ from repro.arbitration.memory_arbiter import resolve_memory_contention
 from repro.core.request_models import RequestModel
 from repro.exceptions import SimulationError
 from repro.topology.network import MultipleBusNetwork
+from repro.workloads.generator import DestinationSampler
 
 __all__ = ["ResubmissionResult", "ResubmissionSimulator"]
 
@@ -88,9 +89,9 @@ class ResubmissionSimulator:
                 f"has {network.n_buses}"
             )
         self._seed = seed
-        cumulative = np.cumsum(model.fraction_matrix(), axis=1)
-        cumulative[:, -1] = 1.0
-        self._cumulative = cumulative
+        self._sampler = DestinationSampler.from_fractions(
+            model.fraction_matrix()
+        )
 
     def run(self, n_cycles: int, warmup: int = 200) -> ResubmissionResult:
         """Simulate ``warmup + n_cycles`` cycles and return statistics.
@@ -120,13 +121,9 @@ class ResubmissionSimulator:
             # Free processors draw new requests; blocked ones retry.
             free = pending_module < 0
             issues = rng.random(n) < rate
-            draws = rng.random(n)
-            for p in np.flatnonzero(free & issues):
-                row = self._cumulative[p]
-                pending_module[p] = int(
-                    np.searchsorted(row, draws[p], side="right")
-                )
-                pending_age[p] = 0
+            fresh = free & issues
+            pending_module[fresh] = self._sampler.sample(rng.random(n))[fresh]
+            pending_age[fresh] = 0
 
             requesters = np.flatnonzero(pending_module >= 0)
             if measuring:

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.request_models import RequestModel
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.topology.structure import ConnectionStructure, MatchingOracle
+from repro.workloads.generator import DestinationSampler
 
 __all__ = ["StructureSimResult", "simulate_structure_bandwidth", "structure_seed"]
 
@@ -83,20 +84,18 @@ def simulate_structure_bandwidth(
 
     q = model.request_matrix()  # N x M per-cycle request probabilities
     row_totals = q.sum(axis=1)
-    cumulative = np.cumsum(q, axis=1)
-    n = structure.n_processors
     m = structure.n_memories
 
     # One uniform draw per (cycle, processor): below the row total the
     # processor requests, and the same draw selects the module by inverse
-    # transform over the row's cumulative probabilities.
-    draws = rng.random((int(n_cycles), n))
+    # transform over the row's cumulative probabilities.  The last
+    # column is not forced to 1.0: the sampler clips a draw past it to
+    # module ``m - 1``.
+    draws = rng.random((int(n_cycles), structure.n_processors))
+    modules = DestinationSampler(np.cumsum(q, axis=1)).sample(draws)
+    cycles, processors = np.nonzero(draws < row_totals)
     requested = np.zeros((int(n_cycles), m), dtype=bool)
-    for p in range(n):
-        issued = draws[:, p] < row_totals[p]
-        modules = np.searchsorted(cumulative[p], draws[issued, p], side="right")
-        np.minimum(modules, m - 1, out=modules)
-        requested[np.flatnonzero(issued), modules] = True
+    requested[cycles, modules[cycles, processors]] = True
 
     oracle = MatchingOracle(structure.memory_bus)
     weights = 1 << np.arange(m, dtype=object)

@@ -80,8 +80,8 @@ class TestJobs:
             )
 
     def test_cells_survive_reevaluation(self):
-        # run_cell deep-copies the spec, so evaluating the same cell
-        # twice (a retry) yields the identical record.
+        # Evaluating a cell leaves its spec unchanged, so evaluating the
+        # same cell twice (a retry) yields the identical record.
         plan = build_job(_sweep_job())
         assert plan.run_cell(0) == plan.run_cell(0)
 
@@ -105,6 +105,7 @@ class TestFabricParity:
             _sweep_job(), FabricConfig(n_workers=n_workers)
         ).run()
         assert report.records == serial_records
+        assert report.n_workers == n_workers
         nodes = set(range(1, n_workers + 1))
         assert {entry["node"] for entry in report.shard_map} == nodes
         assert set(report.worker_timings) == nodes
@@ -196,6 +197,7 @@ class TestCacheIntegration:
         assert report.cache_hits == len(serial_records)
         assert report.shard_map == []  # nothing left to dispatch
         assert coordinator.pids == {}  # no worker was ever spawned
+        assert report.n_workers == 0
 
     def test_fabric_shares_cache_identity_with_parallel_map(
         self, serial_records, tmp_path

@@ -76,6 +76,23 @@ class TestSpawnCount:
         assert records == json.loads(one.stdout)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["fabric"]["workers_spawned"] == 2
+        # The summary line reports the workers spawned, not requested.
+        assert "2 cells on 2 workers" in four.stderr
+
+    def test_summary_counts_spawned_workers_on_a_cached_rerun(self, tmp_path):
+        args = ("--N", "8", "--buses", "2", "--rates", "0.5",
+                "--cycles", "300", "--workers", "4", "--quiet",
+                "--cache", str(tmp_path / "cache"))
+        lines = [
+            subprocess.run(
+                _fabric_command(*args), capture_output=True, text=True,
+                env=_env(), timeout=120, check=True,
+            ).stderr
+            for _ in range(2)
+        ]
+        assert "2 cells on 2 workers" in lines[0]
+        assert "2 cells on 0 workers" in lines[1]
+        assert "2 cache hits" in lines[1]
 
 
 class TestForkedWorkersStartBare:
