@@ -213,27 +213,16 @@ def test_http_latency_under_concurrent_clients():
             await service.stop()
         return latencies
 
-    # Before/after the encoded-bytes LRU: the same Zipf-hot stream with
-    # the encode cache disabled re-serializes every repeat hit, the
-    # default engine serves cached bytes straight to the socket.
-    uncached = asyncio.run(main(QueryEngine(encode_cache_size=0)))
     latencies = asyncio.run(main(QueryEngine()))
     section = {
         "clients": clients,
         "requests": clients * per_client,
         "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 4),
         "p95_ms": round(_percentile(latencies, 0.95) * 1e3, 4),
-        "p50_ms_encode_uncached": round(
-            _percentile(uncached, 0.50) * 1e3, 4
-        ),
-        "p95_ms_encode_uncached": round(
-            _percentile(uncached, 0.95) * 1e3, 4
-        ),
     }
     _report_section("http_latency", section)
     print(f"\nservice http latency: {json.dumps(section)}")
     assert len(latencies) == clients * per_client
-    assert len(uncached) == clients * per_client
 
 
 def test_coalesce_rate_under_identical_bursts():

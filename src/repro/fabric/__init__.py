@@ -13,13 +13,13 @@ its serial reference:
 * :mod:`repro.fabric.wire` — the length-prefixed JSON frame protocol
   workers stream results and heartbeats over.
 * :mod:`repro.fabric.jobs` — :class:`FabricJob`, the JSON-safe job
-  descriptions both sides rebuild identically (per-cell seeds are
-  spawned by grid position, so shard boundaries can never change a
+  descriptions the coordinator builds into a plan once (per-cell seeds
+  are spawned by grid position, so shard boundaries can never change a
   record).
 * :mod:`repro.fabric.worker` — the worker process, forked from the
   coordinator by :func:`~repro.fabric.worker.spawn_child` (POSIX
-  ``os.fork``): evaluates the slices sent to it and streams results
-  back.
+  ``os.fork``): evaluates the slices sent to it against the plan it
+  inherits and streams results back.
 * :mod:`repro.fabric.coordinator` — :class:`FabricCoordinator`: shards
   a job into GridSlices, forks every worker and reads each one's pipe,
   tracks health via heartbeats, and re-shards only the lost slices of

@@ -27,7 +27,7 @@ into records bit-identical to the single-process executor's:
    digested from the metrics this emits.
 
 Because per-cell seeds are spawned by grid index when the job is
-*built* (identically by coordinator and every worker), records cannot
+*built* (once, by the coordinator, before it forks), records cannot
 depend on shard boundaries, worker count, or crash/retry
 interleaving — the property the chaos suite pins down.
 """
@@ -256,7 +256,6 @@ class FabricCoordinator:
         hello = {
             "type": "hello",
             "heartbeat_interval": self.config.limits.heartbeat_interval,
-            "job": self.job.to_wire(),
         }
         extra_env = None
         if self._deadline is not None:
@@ -271,7 +270,7 @@ class FabricCoordinator:
             self._alive.add(node)
             self._last_seen[node] = now
             self._children[node] = spawn_child(
-                dict(hello, node=node), extra_env=extra_env
+                dict(hello, node=node), self._plan, extra_env=extra_env
             )
         for node, proc in self._children.items():
             reader = threading.Thread(
@@ -629,11 +628,6 @@ class FabricCoordinator:
                 self._retry_slice(failed, assignment.attempt, "cell-error")
 
     def _handle_error(self, frame: dict) -> None:
-        if frame.get("fatal"):
-            raise ConfigurationError(
-                f"fabric worker {frame.get('node')} failed to build the "
-                f"job: {frame.get('error')}"
-            )
         assignment = self._assignments.get(int(frame.get("work", -1)))
         if assignment is None:
             return

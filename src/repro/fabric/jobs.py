@@ -1,11 +1,11 @@
 """JSON-safe fabric job descriptions and their grid/cell builders.
 
-A :class:`FabricJob` is the *entire* message a worker needs: a kind plus
-plain-JSON parameters.  Both the coordinator and every worker call
-:func:`build_job` on the same description and — because the builders
-are pure functions of their parameters, including the
-per-cell :class:`~numpy.random.SeedSequence` spawning — reconstruct
-bit-identical cell lists.  Shards are then addressed as
+A :class:`FabricJob` is a kind plus plain-JSON parameters.  The
+coordinator calls :func:`build_job` once; its forked workers inherit
+the built :class:`JobPlan`.  The builders are pure functions of their
+parameters, including the per-cell
+:class:`~numpy.random.SeedSequence` spawning, so a cell's record does
+not depend on which process evaluates it.  Shards are addressed as
 :class:`~repro.fabric.gridslice.GridSlice` strings over the job's grid:
 a WORK frame carries ``"r=0.25-0.5,B=2-8/2"``, not pickled cell
 objects, which keeps frames tiny and makes shard maps diffable.
@@ -55,16 +55,6 @@ class FabricJob:
 
     kind: str
     params: dict
-
-    def to_wire(self) -> dict:
-        """The JSON object sent in HELLO frames."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_wire(cls, message: dict) -> FabricJob:
-        if not isinstance(message, dict) or "kind" not in message:
-            raise ConfigurationError(f"malformed job description: {message!r}")
-        return cls(kind=str(message["kind"]), params=dict(message.get("params", {})))
 
 
 @dataclasses.dataclass

@@ -1,12 +1,12 @@
 """The fabric worker process, forked from the coordinator.
 
 :func:`spawn_child` forks the coordinator, which has already imported
-``repro`` and numpy, so a worker starts without an interpreter launch
-or an import.  The child is configured entirely by the HELLO frame on
-its stdin (node id, heartbeat interval, optional deadline, and the
-:class:`~repro.fabric.jobs.FabricJob`), exactly as a freshly started
-interpreter would be.  The coordinator spawns every worker itself
-(nodes ``1..n``) and reads each one's stdout pipe.
+``repro`` and numpy and built the job's
+:class:`~repro.fabric.jobs.JobPlan`, so a worker starts without an
+interpreter launch, an import or a plan build: the child evaluates the
+plan it inherits.  The HELLO frame on its stdin carries the rest (node
+id, heartbeat interval, optional deadline).  The coordinator spawns
+every worker itself (nodes ``1..n``) and reads each one's stdout pipe.
 
 Data flow:
 
@@ -14,10 +14,10 @@ Data flow:
   queued for evaluation; ``shutdown`` (or EOF on stdin) stops it.
 * **up** — RESULT / DONE / ERROR / HEARTBEAT / READY frames on stdout.
 
-Evaluation runs on a separate thread against a
-:class:`~repro.fabric.jobs.JobPlan` built locally from the HELLO's job
-description; every cell is evaluated on a fresh deep copy of its spec,
-so a retried cell can never observe a consumed SeedSequence.
+Evaluation runs on a separate thread against the inherited plan.  The
+coordinator forks before it evaluates any cell itself, and no evaluator
+changes a spec, so every worker's plan is the one
+:func:`~repro.fabric.jobs.build_job` returned.
 
 Forking needs a POSIX ``os.fork``.  Python 3.12 warns
 (``DeprecationWarning``) on every ``os.fork`` in a process with more
@@ -42,7 +42,7 @@ from typing import BinaryIO, NoReturn
 
 from repro.fabric import wire
 from repro.fabric.gridslice import GridSlice
-from repro.fabric.jobs import FabricJob, build_job
+from repro.fabric.jobs import JobPlan
 from repro.obs.metrics import disable_telemetry
 from repro.resilience import chaos
 from repro.resilience.deadline import Deadline, deadline_from_env
@@ -108,9 +108,9 @@ class WorkerProcess:
 
 
 def spawn_child(
-    hello: dict, extra_env: dict[str, str] | None = None
+    hello: dict, plan: JobPlan, extra_env: dict[str, str] | None = None
 ) -> WorkerProcess:
-    """Fork one worker process and send it its HELLO frame.
+    """Fork one worker process that evaluates ``plan``; send it HELLO.
 
     ``extra_env`` overlays the child's environment — the coordinator
     uses it to hand the remaining request budget down as
@@ -125,7 +125,7 @@ def spawn_child(
     sys.stderr.flush()
     pid = os.fork()
     if pid == 0:
-        _worker_main(child_in, child_out, extra_env)
+        _worker_main(child_in, child_out, plan, extra_env)
     os.close(child_in)
     os.close(child_out)
     proc = WorkerProcess(
@@ -136,7 +136,10 @@ def spawn_child(
 
 
 def _worker_main(
-    stdin_fd: int, stdout_fd: int, extra_env: dict[str, str] | None
+    stdin_fd: int,
+    stdout_fd: int,
+    plan: JobPlan,
+    extra_env: dict[str, str] | None,
 ) -> NoReturn:
     """The forked child: become a bare worker process, run, and exit.
 
@@ -155,7 +158,7 @@ def _worker_main(
             os.environ.update(extra_env)
         disable_telemetry()
         chaos.uninstall_plan()
-        code = run_worker(os.fdopen(0, "rb"), os.fdopen(1, "wb"))
+        code = run_worker(os.fdopen(0, "rb"), os.fdopen(1, "wb"), plan)
     except BaseException:
         # Report like the interpreter would, then exit below regardless.
         traceback.print_exc()
@@ -170,9 +173,10 @@ def _worker_main(
 
 
 class _WorkerNode:
-    def __init__(self, inp, out):
+    def __init__(self, inp, out, plan: JobPlan):
         self._in = inp
         self._out = out
+        self._plan = plan
         self._out_lock = threading.Lock()
         self._stop = threading.Event()
         self._work_queue: queue.Queue = queue.Queue()
@@ -279,19 +283,6 @@ class _WorkerNode:
         else:
             self.deadline = deadline_from_env()
 
-        try:
-            plan = build_job(FabricJob.from_wire(hello["job"]))
-        except Exception as exc:
-            self._send(
-                {
-                    "type": "error",
-                    "node": self.node,
-                    "fatal": True,
-                    "error": repr(exc),
-                }
-            )
-            return 1
-
         self._send({"type": "ready", "node": self.node, "pid": os.getpid()})
         threading.Thread(
             target=self._heartbeat_loop,
@@ -301,7 +292,7 @@ class _WorkerNode:
         ).start()
         evaluator = threading.Thread(
             target=self._evaluate_loop,
-            args=(plan,),
+            args=(self._plan,),
             daemon=True,
             name="evaluator",
         )
@@ -323,6 +314,6 @@ class _WorkerNode:
         return 0
 
 
-def run_worker(inp, out) -> int:
-    """Run one worker node over the given binary streams."""
-    return _WorkerNode(inp, out).run()
+def run_worker(inp, out, plan: JobPlan) -> int:
+    """Run one worker node evaluating ``plan`` over the given streams."""
+    return _WorkerNode(inp, out, plan).run()

@@ -1,11 +1,15 @@
-"""The asyncio query engine: LRU -> coalescing -> kernels.
+"""The asyncio query engine: response cache -> LRU -> coalescing -> kernels.
 
 Chen & Sheu's closed forms make a bandwidth cell cheap to compute but
 highly repetitive across callers — millions of users sweep the same
 handful of machine shapes.  :class:`QueryEngine` exploits that shape
-with a tiered pipeline, all keyed on the normalized
-:class:`~repro.service.protocol.Query` itself:
+with a tiered pipeline.  The first tier is keyed on the raw request
+bytes, the others on the normalized
+:class:`~repro.service.protocol.Query`:
 
+0. **Response cache** — a repeat of a request body already answered
+   from the result LRU returns that answer's encoded ``source="cache"``
+   envelope without decoding or validating the body again.
 1. **Result LRU** — finished answers, returned instantly
    (``source="cache"``).
 2. **In-flight coalescing map** — a query identical to one currently
@@ -20,6 +24,10 @@ with a tiered pipeline, all keyed on the normalized
    and distinct queries arriving in the same event-loop tick that share
    a profile signature are answered by **one** grid call through
    :func:`~repro.analysis.batch.evaluate_cells`.
+
+Every request, whichever tier answers it, passes the same gate first:
+the ``service.engine`` chaos site, the shutdown and deadline checks,
+admission and the brownout governor's criticality-class shedding.
 
 Values served from any tier are bit-identical to direct
 :func:`~repro.analysis.evaluate.analytic_bandwidth` /
@@ -72,6 +80,10 @@ from repro.service.protocol import (
 
 __all__ = ["QueryResponse", "QueryEngine"]
 
+#: Longest request body the response cache keeps as a key (a 512-cell
+#: sweep body is about 2.5 KiB).
+_MAX_REMEMBERED_BODY = 4096
+
 
 @dataclasses.dataclass
 class QueryResponse:
@@ -82,6 +94,12 @@ class QueryResponse:
     skipped: list[dict[str, object]]
     #: ``"cache"`` | ``"coalesced"`` | ``"computed"``
     source: str
+    #: The JSON envelope's bytes, kept by :meth:`QueryEngine.encoded_payload`
+    #: on ``"cache"`` responses.  A response-cache hit returns the same
+    #: instance to every request, so treat a response as read-only.
+    encoded: bytes | None = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def value(self) -> float:
@@ -129,9 +147,10 @@ class QueryEngine:
     Parameters
     ----------
     cache_size:
-        Result-LRU capacity; ``0`` disables result caching (every
-        request either coalesces onto an in-flight computation or
-        computes — the configuration the coalescing benchmarks use).
+        Capacity of the result LRU and of the response cache; ``0``
+        disables both (every request either coalesces onto an
+        in-flight computation or computes — the configuration the
+        coalescing benchmarks use).
     batch_max_size / batch_max_delay:
         :class:`~repro.service.batching.BatchWindow` bounds for
         single-cell micro-batching.  The default delay of ``0.0``
@@ -143,13 +162,6 @@ class QueryEngine:
     limits:
         :class:`~repro.service.protocol.ServiceLimits` applied when
         parsing payloads through :meth:`execute_payload`.
-    encode_cache_size:
-        Capacity of the encoded-bytes LRU behind
-        :meth:`encoded_payload`.  Responses served from the result LRU
-        skip the envelope rebuild *and* the
-        ``json.dumps`` on repeat hits — the HTTP front-end writes the
-        cached bytes straight to the socket.  ``0`` disables it
-        (every response encodes from scratch, the pre-PR behaviour).
     brownout:
         Optional :class:`~repro.resilience.brownout.BrownoutGovernor`
         evaluated per request: it may shed the request by criticality
@@ -170,7 +182,6 @@ class QueryEngine:
         admission: AdmissionController | None = None,
         limits: ServiceLimits | None = None,
         model_cache_size: int = 512,
-        encode_cache_size: int = 2048,
         brownout: BrownoutGovernor | None = None,
         batch_breaker: CircuitBreaker | None = None,
     ):
@@ -182,15 +193,13 @@ class QueryEngine:
             raise ConfigurationError(
                 f"model_cache_size must be >= 1, got {model_cache_size}"
             )
-        if encode_cache_size < 0:
-            raise ConfigurationError(
-                f"encode_cache_size must be >= 0, got {encode_cache_size}"
-            )
         self._cache_size = int(cache_size)
-        self._encode_cache_size = int(encode_cache_size)
-        self._encoded: OrderedDict[tuple[Query, str], bytes] = OrderedDict()
         self._admission = admission
         self.limits = limits or ServiceLimits()
+        #: (sweep, raw body) -> its "cache" response, encoded lazily.
+        self._responses: OrderedDict[tuple[bool, bytes], QueryResponse] = (
+            OrderedDict()
+        )
         self._results: OrderedDict[Query, dict] = OrderedDict()
         self._inflight: dict[Query, asyncio.Future] = {}
         self._models: OrderedDict[tuple, RequestModel] = OrderedDict()
@@ -236,12 +245,42 @@ class QueryEngine:
         sweep: bool = False,
         deadline: Deadline | None = None,
     ) -> QueryResponse:
-        """Parse a decoded JSON payload and execute it."""
+        """Parse a JSON payload and execute it.
+
+        ``payload`` is either a decoded JSON object or the raw request
+        body bytes.  A raw body that repeats one already answered from
+        the result LRU is served from the response cache: it skips
+        ``json.loads`` and :func:`~repro.service.protocol.parse_query`
+        but passes the same gate as every other request.
+        """
+        key = None
+        if isinstance(payload, bytes):
+            key = (sweep, payload)
+            registry = get_registry()
+            hit = self._responses.get(key)
+            if hit is not None:
+                self._responses.move_to_end(key)
+                registry.increment("service.encode.hits")
+                return await self.execute(hit.query, deadline, cached=hit)
+            registry.increment("service.encode.misses")
+            try:
+                payload = json.loads(payload)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"request body is not valid JSON: {exc}"
+                ) from exc
         query = parse_query(payload, sweep=sweep, limits=self.limits)
-        return await self.execute(query, deadline=deadline)
+        response = await self.execute(query, deadline=deadline)
+        if key is not None and response.source == "cache":
+            self._remember(key, response)
+        return response
 
     async def execute(
-        self, query: Query, deadline: Deadline | None = None
+        self,
+        query: Query,
+        deadline: Deadline | None = None,
+        *,
+        cached: QueryResponse | None = None,
     ) -> QueryResponse:
         """Answer ``query`` from the cheapest tier that can serve it.
 
@@ -251,6 +290,10 @@ class QueryEngine:
         :class:`~repro.exceptions.DeadlineExceededError` (→ 504) while
         the computation itself runs to completion for other waiters and
         the LRU.
+
+        ``cached`` is a response-cache entry for ``query``: the request
+        passes the same gate (chaos site, shutdown and deadline checks,
+        admission, brownout) and is then answered with it.
         """
         registry = get_registry()
         kind = "sweep" if query.is_sweep else "query"
@@ -281,6 +324,9 @@ class QueryEngine:
         started = time.perf_counter()
         try:
             with registry.time_block("service.latency_seconds", kind=kind):
+                if cached is not None:
+                    registry.increment("service.cache.hits", kind=kind)
+                    return cached
                 return await self._execute_tiers(
                     query, kind, registry, deadline
                 )
@@ -321,25 +367,39 @@ class QueryEngine:
     ) -> dict:
         """Await a shared in-flight future, bounded by the deadline.
 
-        ``shield`` keeps a timeout (or caller cancellation) from
-        cancelling the shared computation — other coalesced waiters and
-        the result LRU still get the answer.
+        Neither a timeout nor caller cancellation cancels the shared
+        computation (``shield``, or a separate waiter under a deadline)
+        — other coalesced waiters and the result LRU still get the
+        answer.
         """
         if deadline is None:
             return await asyncio.shield(future)
+        # A timer and a done-callback rather than ``asyncio.wait_for``,
+        # which needs a current task: the HTTP front-end runs a request
+        # outside any task until it first suspends.
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+
+        def wake(_=None):
+            if not waiter.done():
+                waiter.set_result(None)
+
+        timer = loop.call_later(deadline.remaining_seconds(), wake)
+        future.add_done_callback(wake)
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(future),
-                timeout=deadline.remaining_seconds(),
-            )
-        except asyncio.TimeoutError:
-            deadline.check("service.engine")
-            raise DeadlineExceededError(
-                f"deadline of {deadline.budget_ms:.0f}ms exceeded at "
-                f"service.engine",
-                site="service.engine",
-                budget_ms=deadline.budget_ms,
-            ) from None
+            await waiter
+        finally:
+            timer.cancel()
+            future.remove_done_callback(wake)
+        if future.done():
+            return future.result()
+        deadline.check("service.engine")
+        raise DeadlineExceededError(
+            f"deadline of {deadline.budget_ms:.0f}ms exceeded at "
+            f"service.engine",
+            site="service.engine",
+            budget_ms=deadline.budget_ms,
+        )
 
     async def _fulfill(
         self, query: Query, future: asyncio.Future, kind: str
@@ -489,53 +549,44 @@ class QueryEngine:
             get_registry().increment("service.cache.evictions")
 
     # ------------------------------------------------------------------
-    # Encoded-response cache (HTTP fast path)
+    # Tier 0: the response cache (raw request bytes -> encoded envelope)
     # ------------------------------------------------------------------
 
-    #: Response sources whose bytes are worth keeping: the LRU tier is
-    #: hit repeatedly for the same query, so the encoded envelope is
-    #: stable and will be asked for again.  ``computed``/``coalesced``
-    #: responses re-arrive as ``cache`` hits, so caching their (different
-    #: ``"source"`` field) bytes would only pollute the LRU.
-    _CACHEABLE_SOURCES = frozenset({"cache"})
+    def _remember(
+        self, key: tuple[bool, bytes], response: QueryResponse
+    ) -> None:
+        """Keep a result-LRU answer for repeats of its exact request body.
+
+        Only ``"cache"`` responses are kept: a ``"computed"`` or
+        ``"coalesced"`` envelope names a tier a repeat would not use.
+        Bodies over :data:`_MAX_REMEMBERED_BODY` bytes are not kept, so
+        padded bodies cannot fill memory through the keys.
+        """
+        if self._cache_size == 0 or len(key[1]) > _MAX_REMEMBERED_BODY:
+            return
+        self._responses[key] = response
+        while len(self._responses) > self._cache_size:
+            self._responses.popitem(last=False)
+            get_registry().increment("service.encode.evictions")
 
     def encoded_payload(self, response: QueryResponse) -> bytes:
-        """The response's JSON envelope as bytes, LRU-cached per tier.
+        """The response's JSON envelope as bytes.
 
-        A hot ``/query`` repeat (an LRU hit) costs one ordered
-        dict lookup instead of rebuilding the envelope dict and running
-        ``json.dumps`` — the dominant per-request CPU once the answer
-        itself is cached.  Keyed on ``(query, source)`` because the
-        envelope embeds the serving tier, and encoded lazily so a
-        response that is never serialized costs nothing.
+        A ``"cache"`` response keeps its bytes, so a response-cache hit
+        is written out without rebuilding the envelope or running
+        ``json.dumps``; the first caller to ask encodes it.
         """
-        if self._encode_cache_size == 0:
-            return json.dumps(response.payload()).encode()
-        registry = get_registry()
-        key = (response.query, response.source)
-        encoded = self._encoded.get(key)
-        if encoded is not None:
-            self._encoded.move_to_end(key)
-            registry.increment("service.encode.hits")
-            return encoded
-        registry.increment("service.encode.misses")
-        encoded = json.dumps(response.payload()).encode()
-        if response.source in self._CACHEABLE_SOURCES:
-            self._encoded[key] = encoded
-            while len(self._encoded) > self._encode_cache_size:
-                self._encoded.popitem(last=False)
-                registry.increment("service.encode.evictions")
+        encoded = response.encoded
+        if encoded is None:
+            encoded = json.dumps(response.payload()).encode()
+            if response.source == "cache":
+                response.encoded = encoded
         return encoded
-
-    @property
-    def encoded_cache_size(self) -> int:
-        """Encoded response envelopes currently held."""
-        return len(self._encoded)
 
     def clear_cache(self) -> None:
         """Drop every finished result (in-flight computations are kept)."""
         self._results.clear()
-        self._encoded.clear()
+        self._responses.clear()
 
     @property
     def stopping(self) -> bool:

@@ -1,13 +1,27 @@
-"""Stdlib HTTP/1.1 front-end over the query engine (asyncio streams).
+"""Stdlib HTTP/1.1 front-end over the query engine (one asyncio.Protocol).
 
-No web framework: a long-lived ``asyncio.start_server`` loop parses
-minimal HTTP/1.1 requests (request line, headers, ``Content-Length``
-body) and maps four routes onto the engine::
+No web framework: a long-lived ``asyncio`` server parses minimal
+HTTP/1.1 requests (request line, headers, ``Content-Length`` body) in
+place from each connection's buffer and maps four routes onto the
+engine::
 
     POST /query    one (scheme, N, M, B, r, model) cell
     POST /sweep    one scheme over a bus-count vector
     GET  /healthz  liveness + engine occupancy
     GET  /metrics  Prometheus text dump of the active telemetry registry
+
+A connection answers its requests one at a time in arrival order
+(pipelined requests wait in the buffer), with keep-alive until the
+client sends ``Connection: close``.  A request's handler runs at once,
+outside any task, until it first suspends: a repeat answered from the
+engine's response cache is written back from the same callback that
+read it, and only a request that must wait (a batch window, a
+coalesced computation) gets a :class:`asyncio.Task`.  While the
+transport's write buffer is full, no further request is parsed.
+
+The body of a ``/query`` or ``/sweep`` goes to the engine as raw bytes,
+so a repeat is looked up in the engine's response cache before it is
+decoded.
 
 Success responses are the engine's JSON envelopes; every failure —
 malformed JSON, oversized bodies, invalid parameters, shed requests,
@@ -29,6 +43,8 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import re
+import types
 
 from repro.exceptions import (
     AdmissionError,
@@ -51,56 +67,53 @@ from repro.service.protocol import error_envelope
 __all__ = ["BandwidthService"]
 
 _MAX_HEADER_BYTES = 16 * 1024
+#: Longest request line accepted (the asyncio streams line limit).
+_MAX_LINE_BYTES = 64 * 1024
+#: Buffered bytes past which a busy connection stops reading.
+_READ_HIGH_WATER = 256 * 1024
 
-_DEADLINE_HEADER_LOWER = DEADLINE_HEADER.lower()
+_DEADLINE_HEADER_LOWER = DEADLINE_HEADER.lower().encode("latin-1")
+#: The empty line that ends a request head (lines may end in CRLF or LF).
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 
 class _BadRequest(ConfigurationError):
     """Framing-level rejection (malformed request line or headers)."""
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, max_body: int
-) -> tuple[str, str, bytes, bool, Deadline | None]:
-    """Parse one request; returns ``(method, path, body, close, deadline)``.
-
-    The deadline starts ticking the moment the ``X-Repro-Deadline-Ms``
-    header is parsed — header time counts against the budget.
-    """
-    request_line = await reader.readline()
-    if not request_line:
-        raise EOFError
+def _parse_request_line(line: bytes) -> tuple[str, str]:
     try:
-        method, path, _version = (
-            request_line.decode("latin-1").strip().split(" ", 2)
-        )
+        method, path, _version = line.decode("latin-1").strip().split(" ", 2)
     except ValueError:
         raise _BadRequest("malformed HTTP request line") from None
+    return method, path
 
+
+def _parse_headers(
+    block: bytes, max_body: int
+) -> tuple[int, bool, Deadline | None]:
+    """``(content_length, close, deadline)`` from the header lines.
+
+    The deadline starts ticking here, when the whole head has arrived:
+    time spent sending the head counts against the budget.
+    """
     content_length = 0
     close = False
     deadline: Deadline | None = None
-    header_bytes = 0
-    while True:
-        line = await reader.readline()
-        header_bytes += len(line)
-        if header_bytes > _MAX_HEADER_BYTES:
-            raise _BadRequest("headers too large")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
+    for line in block.split(b"\n"):
+        name, _, value = line.partition(b":")
         name = name.strip().lower()
-        if name == "content-length":
+        if name == b"content-length":
             try:
-                content_length = int(value.strip())
+                content_length = int(value)
             except ValueError:
                 raise _BadRequest(
-                    f"bad Content-Length: {value.strip()!r}"
+                    f"bad Content-Length: {value.decode('latin-1').strip()!r}"
                 ) from None
-        elif name == "connection":
-            close = value.strip().lower() == "close"
+        elif name == b"connection":
+            close = value.strip().lower() == b"close"
         elif name == _DEADLINE_HEADER_LOWER:
-            deadline = parse_deadline_header(value)
+            deadline = parse_deadline_header(value.decode("latin-1"))
     if content_length < 0:
         raise _BadRequest(f"bad Content-Length: {content_length}")
     if content_length > max_body:
@@ -108,10 +121,175 @@ async def _read_request(
             f"request body of {content_length} bytes exceeds the "
             f"{max_body}-byte limit"
         )
-    body = (
-        await reader.readexactly(content_length) if content_length else b""
-    )
-    return method, path, body, close, deadline
+    return content_length, close, deadline
+
+
+@types.coroutine
+def _carry_on(coro, waiting):
+    """Drive ``coro`` on from ``waiting``, what its first step yielded.
+
+    The first step ran outside any task; the task awaiting this resumes
+    the coroutine where that step left it, passing on every value sent
+    and every exception (a cancellation) thrown in.
+    """
+    while True:
+        try:
+            sent = yield waiting
+        except BaseException as exc:
+            step, arg = coro.throw, exc
+        else:
+            step, arg = coro.send, sent
+        try:
+            waiting = step(arg)
+        except StopIteration as done:
+            return done.value
+
+
+async def _finish(coro, waiting):
+    return await _carry_on(coro, waiting)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: requests parsed in place, answered in order."""
+
+    def __init__(self, service: BandwidthService):
+        self._service = service
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        #: Parsed head of the request whose body is still arriving:
+        #: ``(method, path, body_start, length, close, deadline)``.
+        self._head: tuple | None = None
+        #: Buffer offset the search for the end of the head resumes at.
+        self._searched = 0
+        #: The request being answered, once it has suspended.
+        self._task: asyncio.Task | None = None
+        self._writable = True
+        self._eof = False
+
+    # -- transport callbacks -------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._service._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self._service._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+        if self._task is not None or not self._writable:
+            if len(self._buffer) > _READ_HIGH_WATER:
+                self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._serve()
+        return True  # keep writing until the buffered requests are answered
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._serve()
+
+    def close(self) -> None:
+        self._transport.close()
+
+    # -- requests ------------------------------------------------------
+
+    def _serve(self) -> None:
+        """Answer each whole buffered request in turn until one suspends."""
+        transport = self._transport
+        while (
+            self._task is None
+            and self._writable
+            and not transport.is_closing()
+        ):
+            try:
+                request = self._next_request()
+            except Exception as exc:
+                self._write(_error_response(exc), close=True)
+                return
+            if request is None:
+                if self._eof:
+                    transport.close()
+                else:
+                    transport.resume_reading()
+                return
+            method, path, body, close, deadline = request
+            coro = self._service._answer(method, path, body, deadline)
+            try:
+                waiting = coro.send(None)
+            except StopIteration as done:
+                self._write(done.value, close)
+                continue
+            task = asyncio.get_running_loop().create_task(
+                _finish(coro, waiting)
+            )
+            self._task = task
+            self._service._requests.add(task)
+            task.add_done_callback(
+                lambda task, close=close: self._finished(task, close)
+            )
+
+    def _finished(self, task: asyncio.Task, close: bool) -> None:
+        self._service._requests.discard(task)
+        self._task = None
+        if task.cancelled() or task.exception() is not None:
+            self._transport.close()
+            return
+        self._write(task.result(), close)
+        self._serve()
+
+    def _next_request(self) -> tuple | None:
+        """Split the next whole request off the buffer (None: incomplete).
+
+        Returns ``(method, path, body, close, deadline)``; raises for a
+        request that must be refused (400, 413).
+        """
+        buf = self._buffer
+        if self._head is None:
+            if not buf:
+                return None
+            line_end = buf.find(b"\n")
+            if line_end < 0:
+                if len(buf) > _MAX_LINE_BYTES:
+                    raise _BadRequest("request line too long")
+                return None
+            method, path = _parse_request_line(buf[:line_end])
+            found = _HEAD_END.search(buf, max(line_end, self._searched))
+            head_end = len(buf) if found is None else found.end()
+            if head_end - line_end - 1 > _MAX_HEADER_BYTES:
+                raise _BadRequest("headers too large")
+            if found is None:
+                self._searched = max(line_end, len(buf) - 2)
+                return None
+            length, close, deadline = _parse_headers(
+                bytes(buf[line_end + 1 : found.start()]),
+                self._service.engine.limits.max_body_bytes,
+            )
+            self._head = (method, path, head_end, length, close, deadline)
+        method, path, start, length, close, deadline = self._head
+        end = start + length
+        if len(buf) < end:
+            return None
+        body = bytes(buf[start:end])
+        del buf[:end]
+        self._head = None
+        self._searched = 0
+        return method, path, body, close, deadline
+
+    def _write(
+        self, response: tuple[int, bytes, dict[str, str]], close: bool
+    ) -> None:
+        transport = self._transport
+        if transport.is_closing():
+            return
+        transport.write(_response_bytes(*response))
+        if close:  # client sent Connection: close
+            transport.close()
 
 
 class BandwidthService:
@@ -124,7 +302,9 @@ class BandwidthService:
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
+        #: Answers of requests that suspended (the others need no task).
+        self._requests: set[asyncio.Task] = set()
 
     @property
     def port(self) -> int:
@@ -135,8 +315,9 @@ class BandwidthService:
 
     async def start(self) -> int:
         """Start accepting connections; returns the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self._host, self._port
         )
         return self.port
 
@@ -147,84 +328,59 @@ class BandwidthService:
         engine shutdown — every in-flight coalesced waiter and queued
         batch submission is *completed* with a structured 503
         (:class:`~repro.exceptions.ServiceStoppingError`), never left
-        pending — then (3) give connection handlers ``grace_seconds``
-        to write those envelopes out before cancelling stragglers
-        (idle keep-alive connections blocked in ``readline``).
+        pending — then (3) give suspended requests ``grace_seconds``
+        to write those envelopes out before cancelling stragglers, and
+        (4) close every connection, idle keep-alives included.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server = self._server
+        if server is not None:
+            server.close()
         self.engine.begin_shutdown()
-        if self._connections:
-            done, pending = await asyncio.wait(
-                tuple(self._connections), timeout=grace_seconds
+        loop = asyncio.get_running_loop()
+        until = loop.time() + grace_seconds
+        # A request answered in the grace period may start the next
+        # pipelined one, so wait until none is left or time is up.
+        while self._requests and loop.time() < until:
+            await asyncio.wait(
+                tuple(self._requests), timeout=until - loop.time()
             )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        self._connections.clear()
+        pending = tuple(self._requests)
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        for connection in tuple(self._connections):
+            connection.close()
+        if server is not None:
+            await server.wait_closed()
+            self._server = None
         self.engine.close()
 
     async def serve_forever(self) -> None:
-        """Block serving requests until cancelled."""
+        """Serve requests until cancelled; then call :meth:`stop`."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+    async def _answer(
+        self,
+        method: str,
+        path: str,
+        body: bytes,
+        deadline: Deadline | None,
+    ) -> tuple[int, bytes, dict[str, str]]:
+        """``(status, payload, headers)`` for one request; never raises."""
         try:
-            while True:
-                try:
-                    method, path, body, close, deadline = await _read_request(
-                        reader, self.engine.limits.max_body_bytes
-                    )
-                except (
-                    EOFError,
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                ):
-                    break
-                except Exception as exc:
-                    await self._send_error(writer, exc)
-                    break
-                try:
-                    status, payload, headers = await self._dispatch(
-                        method, path, body, deadline
-                    )
-                except Exception as exc:
-                    get_registry().increment(
-                        "service.http.errors", type=type(exc).__name__
-                    )
-                    status, envelope = error_envelope(exc)
-                    headers = _retry_headers(exc)
-                    payload = json.dumps(envelope).encode()
-                await _write_response(writer, status, payload, headers)
-                if close:  # client sent Connection: close
-                    break
-        except asyncio.CancelledError:
-            # Server shutdown: finishing quietly (rather than staying in a
-            # cancelled state) keeps asyncio's stream done-callback from
-            # logging a spurious CancelledError for every idle keep-alive.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+            return await self._dispatch(method, path, body, deadline)
+        except Exception as exc:
+            get_registry().increment(
+                "service.http.errors", type=type(exc).__name__
+            )
+            return _error_response(exc)
 
     async def _dispatch(
         self,
@@ -257,17 +413,9 @@ class BandwidthService:
                 raise ServiceStoppingError(
                     "service is shutting down; not accepting new queries"
                 )
-            try:
-                payload = json.loads(body)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"request body is not valid JSON: {exc}"
-                ) from exc
             response = await self.engine.execute_payload(
-                payload, sweep=(path == "/sweep"), deadline=deadline
+                body, sweep=(path == "/sweep"), deadline=deadline
             )
-            # Hot repeats reuse the engine's encoded-bytes LRU instead
-            # of rebuilding the envelope and re-serializing it.
             return 200, self.engine.encoded_payload(response), {}
         envelope = {
             "ok": False,
@@ -279,51 +427,36 @@ class BandwidthService:
         }
         return 404, json.dumps(envelope).encode(), {}
 
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, exc: BaseException
-    ) -> None:
-        status, envelope = error_envelope(exc)
-        await _write_response(
-            writer, status, json.dumps(envelope).encode(), _retry_headers(exc)
-        )
-
 
 _STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
+    200: b"OK",
+    400: b"Bad Request",
+    404: b"Not Found",
+    413: b"Payload Too Large",
+    429: b"Too Many Requests",
+    500: b"Internal Server Error",
+    503: b"Service Unavailable",
+    504: b"Gateway Timeout",
 }
 
 
-def _retry_headers(exc: BaseException) -> dict[str, str]:
+def _error_response(exc: Exception) -> tuple[int, bytes, dict[str, str]]:
+    """The structured error envelope for ``exc``, with its headers."""
+    status, envelope = error_envelope(exc)
+    headers = {}
     if isinstance(exc, (AdmissionError, BreakerOpenError)):
-        return {"Retry-After": str(math.ceil(exc.retry_after_seconds))}
-    return {}
+        headers["Retry-After"] = str(math.ceil(exc.retry_after_seconds))
+    return status, json.dumps(envelope).encode(), headers
 
 
-async def _write_response(
-    writer: asyncio.StreamWriter,
-    status: int,
-    payload: bytes,
-    headers: dict[str, str],
-) -> None:
-    reason = _STATUS_TEXT.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Length: {len(payload)}",
-    ]
-    header_names = {name.lower() for name in headers}
-    if "content-type" not in header_names:
-        lines.append("Content-Type: application/json")
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    writer.write(head + payload)
-    try:
-        await writer.drain()
-    except ConnectionError:
-        pass
+def _response_bytes(
+    status: int, payload: bytes, headers: dict[str, str]
+) -> bytes:
+    head = b"HTTP/1.1 %d %s\r\nContent-Length: %d\r\n" % (
+        status, _STATUS_TEXT.get(status, b"Unknown"), len(payload)
+    )
+    if not any(name.lower() == "content-type" for name in headers):
+        head += b"Content-Type: application/json\r\n"
+    for name, value in headers.items():
+        head += f"{name}: {value}\r\n".encode("latin-1")
+    return head + b"\r\n" + payload

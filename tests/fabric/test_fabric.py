@@ -93,10 +93,6 @@ class TestJobs:
         with pytest.raises(ConfigurationError, match="model factory"):
             build_job(_sweep_job(model_factory="evil.import"))
 
-    def test_wire_round_trip(self):
-        job = _sweep_job()
-        assert FabricJob.from_wire(job.to_wire()) == job
-
 
 class TestFabricParity:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])

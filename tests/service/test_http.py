@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import time
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.service import (
     ServiceLimits,
     TokenBucket,
 )
+from repro.service.http import _Connection
 
 
 async def _roundtrip(port, raw: bytes, keep_reader=None):
@@ -341,3 +344,207 @@ def test_parse_failures_do_not_poison_subsequent_requests():
     assert bad_status == 400
     assert good_status == 200
     assert json.loads(good_body)["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# Framing: the protocol front-end parses requests in place
+# ----------------------------------------------------------------------
+
+
+async def _read_response(reader):
+    """Read one response off ``reader``; returns ``(status, body)``."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=5.0)
+    status = int(head.split(b" ", 2)[1])
+    length = 0
+    for line in head.decode("latin-1").split("\r\n")[1:]:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, await reader.readexactly(length)
+
+
+def _cell_body(b: int) -> dict:
+    return {"scheme": "full", "N": 16, "B": b, "r": 0.5}
+
+
+def test_pipelined_requests_in_one_write_are_answered_in_order():
+    async def scenario(port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"".join(
+            _post("/query", _cell_body(b)) for b in (2, 8, 4)
+        ))
+        await writer.drain()
+        answers = [await _read_response(reader) for _ in range(3)]
+        writer.close()
+        return answers
+
+    answers = _serve(scenario)
+    assert [status for status, _ in answers] == [200, 200, 200]
+    assert [json.loads(body)["result"]["B"] for _, body in answers] == [
+        2, 8, 4
+    ]
+
+
+def test_request_fed_one_byte_at_a_time():
+    async def scenario(port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        sock = writer.get_extra_info("socket")
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in _post("/query", _cell_body(8)):
+            writer.write(bytes([byte]))
+            await writer.drain()
+            await asyncio.sleep(0)
+        answer = await _read_response(reader)
+        writer.close()
+        return answer
+
+    status, body = _serve(scenario)
+    assert status == 200
+    assert json.loads(body)["result"]["B"] == 8
+
+
+def test_bare_lf_line_ends_are_accepted():
+    body = json.dumps(_cell_body(8)).encode()
+    raw = f"POST /query HTTP/1.1\nContent-Length: {len(body)}\n\n".encode()
+
+    async def scenario(port):
+        return await _roundtrip(port, raw + body)
+
+    status, _, payload = _serve(scenario)
+    assert status == 200
+    assert json.loads(payload)["result"]["B"] == 8
+
+
+async def _answer_then_eof(port, raw: bytes):
+    """Send ``raw``; return the one response and what follows it."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(raw)
+    await writer.drain()
+    answer = await _read_response(reader)
+    rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+    writer.close()
+    return answer, rest
+
+
+def test_oversized_headers_are_400_then_the_connection_closes():
+    raw = (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (17 * 1024)
+        + b"\r\n\r\n" + b"GET /healthz HTTP/1.1\r\n\r\n"
+    )
+
+    async def scenario(port):
+        return await _answer_then_eof(port, raw)
+
+    (status, body), rest = _serve(scenario)
+    assert status == 400
+    _assert_envelope(body, 400, "_BadRequest")
+    assert b"headers too large" in body
+    assert rest == b""
+
+
+def test_body_over_max_body_is_413_then_the_connection_closes():
+    engine = QueryEngine(limits=ServiceLimits(max_body_bytes=64))
+    body = json.dumps({**_cell_body(8), "pad": "x" * 64}).encode()
+    raw = f"POST /query HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+
+    async def scenario(port):
+        return await _answer_then_eof(
+            port, raw.encode() + body + b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+
+    (status, payload), rest = _serve(scenario, engine)
+    assert status == 413
+    _assert_envelope(payload, 413, "QueryTooLargeError")
+    assert rest == b""
+
+
+def test_connection_close_stops_a_pipelined_connection():
+    first = _post("/query", _cell_body(8)).replace(
+        b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1
+    )
+
+    async def scenario(port):
+        return await _answer_then_eof(
+            port, first + _post("/query", _cell_body(4))
+        )
+
+    (status, body), rest = _serve(scenario)
+    assert status == 200
+    assert json.loads(body)["result"]["B"] == 8
+    assert rest == b""  # the pipelined second request is never answered
+
+
+def test_eof_in_the_middle_of_a_request_closes_quietly(caplog):
+    async def scenario(port):
+        partial = _post("/query", _cell_body(8))[:-5]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(partial)
+        writer.write_eof()
+        rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        # The server is unharmed: a fresh connection is served.
+        after = await _roundtrip(port, _post("/query", _cell_body(8)))
+        return rest, after
+
+    with caplog.at_level("DEBUG", logger="asyncio"):
+        rest, (status, _, _) = _serve(scenario)
+    assert rest == b""
+    assert status == 200
+    assert not [
+        r for r in caplog.records if r.levelname in ("ERROR", "WARNING")
+    ]
+
+
+def test_stop_closes_idle_keepalive_connections():
+    async def main():
+        service = BandwidthService(QueryEngine())
+        port = await service.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+        status, _ = await _read_response(reader)
+        started = time.perf_counter()
+        await service.stop(grace_seconds=5.0)
+        stopped = time.perf_counter() - started
+        rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        return status, stopped, rest
+
+    status, stopped, rest = asyncio.run(main())
+    assert status == 200
+    assert rest == b""  # the server closed the idle connection
+    assert stopped < 1.0  # without waiting out the grace period
+
+
+class _FakeTransport(asyncio.Transport):
+    def __init__(self):
+        super().__init__()
+        self.written = bytearray()
+        self.closing = False
+
+    def write(self, data):
+        self.written += data
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+def test_paused_transport_stops_parsing_until_it_resumes():
+    service = BandwidthService(QueryEngine())
+    connection = _Connection(service)
+    transport = _FakeTransport()
+    connection.connection_made(transport)
+    connection.pause_writing()
+    connection.data_received(b"GET /healthz HTTP/1.1\r\n\r\n" * 2)
+    assert transport.written == b""
+    connection.resume_writing()
+    assert transport.written.count(b"HTTP/1.1 200 OK") == 2
+    service.engine.close()
