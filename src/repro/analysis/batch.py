@@ -783,35 +783,49 @@ def _tenure_profile(
     module's renewal rate (:func:`crossbar_tenure_bandwidth`).  Every
     bus-limited scheme instead solves the free-bus fixed point
     ``T = f(B - (L - 1) T)`` (:func:`effective_bandwidth`) on the
-    closed-form profile ``f``, evaluated over *all* feasible counts up
-    to the largest requested one so the interpolation has support.
+    closed-form profile ``f``.  That profile is evaluated once, over
+    the requested counts followed by every other count up to the
+    largest one the machine can hold, so the interpolation has
+    support; the requested counts' skips come back as the tenure-free
+    profile reports them.  Every kernel is elementwise in the bus
+    count and the solve for ``B`` reads no point above ``B``, so a
+    cell's value does not depend on the counts it is evaluated with.
     """
-    base = _scheme_bus_profile(
-        scheme, n_processors, n_memories, bus_counts, model,
-        **network_kwargs,
-    )
-    if not base.values:
-        return base
     if scheme == "crossbar":
-        xs = model.module_request_probabilities()
-        value = crossbar_tenure_bandwidth(
-            [float(v) for v in xs], tenure
+        base = _scheme_bus_profile(
+            scheme, n_processors, n_memories, bus_counts, model,
+            **network_kwargs,
         )
-        base.values = {b: value for b in base.values}
+        if base.values:
+            xs = model.module_request_probabilities()
+            value = crossbar_tenure_bandwidth(
+                [float(v) for v in xs], tenure
+            )
+            base.values = {b: value for b in base.values}
         return base
+    requested = {int(b) for b in bus_counts}
+    # No bus-limited scheme is feasible past B = M (the network
+    # constructors reject it), so the support stops there.
+    top = min(max(requested, default=0), n_memories)
     support = _scheme_bus_profile(
         scheme,
         n_processors,
         n_memories,
-        list(range(1, max(base.values) + 1)),
+        list(bus_counts)
+        + [b for b in range(1, top + 1) if b not in requested],
         model,
         **network_kwargs,
     )
-    base.values = {
-        b: effective_bandwidth(support.values, b, tenure)
-        for b in base.values
-    }
-    return base
+    return BusProfile(
+        values={
+            b: effective_bandwidth(support.values, b, tenure)
+            for b in support.values
+            if b in requested
+        },
+        skipped=[
+            cell for cell in support.skipped if cell.n_buses in requested
+        ],
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,7 +27,8 @@ forms (eqs. 1-12), which enter as a bandwidth-vs-bus-count *profile*:
   ``T`` grants/cycle keeps ``(L - 1) * T`` buses busy carrying old
   bursts, so the start rate solves the fixed point
   ``T = f(B - (L - 1) * T)`` on the (piecewise-linear interpolated)
-  profile ``f``.  ``L = 1`` returns the profile value bit-identically.
+  profile ``f``, solved exactly on the one linear segment of ``f``
+  that holds it.  ``L = 1`` returns the profile value bit-identically.
 * :func:`crossbar_tenure_bandwidth` — the crossbar has no bus
   contention, only module occupancy: a module requested with
   probability ``X`` and held for ``L`` cycles per service starts
@@ -250,6 +251,33 @@ def cumulative_weights(weights: Sequence[float]) -> tuple[float, ...]:
     return tuple(cums)
 
 
+def _profile_points(
+    values: Mapping[int, float],
+) -> list[tuple[float, float]]:
+    """Sorted ``(bus count, bandwidth)`` points anchored at ``(0, 0)``."""
+    if not values:
+        raise ConfigurationError(
+            "cannot interpolate an empty bandwidth profile"
+        )
+    points = sorted((float(b), float(v)) for b, v in values.items())
+    if points[0][0] > 0.0:
+        points.insert(0, (0.0, 0.0))
+    return points
+
+
+def _interpolate_points(
+    points: Sequence[tuple[float, float]], b: float
+) -> float:
+    if b <= points[0][0]:
+        return points[0][1] if b == points[0][0] else 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if b == x1:
+            return y1
+        if b < x1:
+            return y0 + (y1 - y0) * (b - x0) / (x1 - x0)
+    return points[-1][1]
+
+
 def interpolate_profile(
     values: Mapping[int, float], n_buses: float
 ) -> float:
@@ -261,22 +289,7 @@ def interpolate_profile(
     exact integer hit returns the profiled value bit-identically, which
     is what keeps the ``L = 1`` degenerate path on the golden numbers.
     """
-    if not values:
-        raise ConfigurationError(
-            "cannot interpolate an empty bandwidth profile"
-        )
-    points = sorted((float(b), float(v)) for b, v in values.items())
-    if points[0][0] > 0.0:
-        points.insert(0, (0.0, 0.0))
-    b = float(n_buses)
-    if b <= points[0][0]:
-        return points[0][1] if b == points[0][0] else 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if b == x1:
-            return y1
-        if b < x1:
-            return y0 + (y1 - y0) * (b - x0) / (x1 - x0)
-    return points[-1][1]
+    return _interpolate_points(_profile_points(values), float(n_buses))
 
 
 def effective_bandwidth(
@@ -286,32 +299,54 @@ def effective_bandwidth(
 
     With ``T`` grant starts per cycle each holding a bus for ``L``
     cycles, ``(L - 1) * T`` buses carry continuing bursts on average,
-    leaving ``B - (L - 1) * T`` free for new grants; the start rate
-    therefore solves ``T = f(B - (L - 1) * T)`` where ``f`` is the
-    closed-form bandwidth profile.  Solved by bisection on
-    ``[0, f(B)]`` (``f`` is nondecreasing, so the fixed point is
-    unique); ``L = 1`` short-circuits to ``f(B)`` exactly.
+    leaving ``x = B - (L - 1) * T`` free for new grants; the start rate
+    therefore solves ``T = f(x)`` where ``f`` is the closed-form
+    bandwidth profile, interpolated as in :func:`interpolate_profile`.
+
+    ``f`` is linear on each segment ``[x0, x1]`` between profiled
+    counts (slope ``s``; the part past the largest count is a flat
+    segment), so the fixed point is solved exactly per segment:
+    ``T = (y0 + s * (B - x0)) / (1 + s * (L - 1))``.  Segments are
+    walked down from ``x = B``, and the first whose root lands at
+    ``x >= x0`` holds the answer; no point above ``B`` is ever read.
+    For a nondecreasing ``f`` (every closed form) the fixed point is
+    unique; otherwise this is the one with the smallest ``T``.
+    ``L = 1`` short-circuits to ``f(B)`` exactly, and a profile that
+    gives ``f(B) <= 0`` returns ``0.0``.
     """
     tenure = validate_tenure(tenure, "geometric")
+    points = _profile_points(values)
+    b = float(n_buses)
+    cap = _interpolate_points(points, b)
     if tenure == 1.0:
-        return interpolate_profile(values, float(n_buses))
-    cap = interpolate_profile(values, float(n_buses))
+        return cap
     if cap <= 0.0:
         return 0.0
-    lo, hi = 0.0, cap
-
-    def gap(t: float) -> float:
-        return t - interpolate_profile(
-            values, n_buses - (tenure - 1.0) * t
-        )
-
-    for _ in range(96):
-        mid = (lo + hi) / 2.0
-        if gap(mid) < 0.0:
-            lo = mid
+    busy = tenure - 1.0
+    # The segment holding x = B: the last one starting below B, which
+    # is the flat tail when B lies past the largest profiled count.
+    top = len(points) - 1
+    while top > 0 and points[top][0] >= b:
+        top -= 1
+    for k in range(top, -1, -1):
+        x0, y0 = points[k]
+        if k + 1 < len(points):
+            x1, y1 = points[k + 1]
+            slope = (y1 - y0) / (x1 - x0)
         else:
-            hi = mid
-    return (lo + hi) / 2.0
+            slope = 0.0
+        denominator = 1.0 + slope * busy
+        if denominator <= 0.0:
+            # f falls here at least as fast as the free-bus line
+            # T = (B - x) / (L - 1) rises, and it starts above it at
+            # the segment's top, so the two cannot meet on it.
+            continue
+        t = (y0 + slope * (b - x0)) / denominator
+        if b - busy * t >= x0:
+            return t
+    # f jumps up at its first point and is 0 below it: the fixed point
+    # sits exactly on the jump.
+    return (b - points[0][0]) / busy
 
 
 def crossbar_tenure_bandwidth(

@@ -141,9 +141,12 @@ class BrownoutPolicy:
 class BrownoutGovernor:
     """Hysteretic ladder walker over queue-depth and p95 pressure.
 
-    Thread-safe; designed to be evaluated once per request (cheap: a
-    deque append and a few comparisons) with the p95 recomputed lazily
-    only when an evaluation actually needs it.
+    Thread-safe; designed to be evaluated once per request.  Each
+    evaluation is a few comparisons: two running counts over the ring
+    (samples below ``p95_high_seconds``, samples at or below
+    ``p95_low_seconds``) locate the p95 against both thresholds without
+    ordering the ring.  The p95 itself is sorted out only for
+    :meth:`latency_p95` and for the ``p95_ms`` of a recorded ladder move.
     """
 
     def __init__(self, policy: BrownoutPolicy | None = None) -> None:
@@ -152,6 +155,8 @@ class BrownoutGovernor:
         self._latencies: deque[float] = deque(
             maxlen=self.policy.latency_window
         )
+        self._below_high = 0
+        self._at_or_below_low = 0
         self._level = 0
         self._calm_streak = 0
         self._transitions: list[dict[str, object]] = []
@@ -160,21 +165,32 @@ class BrownoutGovernor:
 
     def observe_latency(self, seconds: float) -> None:
         """Fold one request latency into the p95 ring buffer."""
+        seconds = float(seconds)
+        high = self.policy.p95_high_seconds
+        low = self.policy.p95_low_seconds
         with self._lock:
-            self._latencies.append(float(seconds))
+            ring = self._latencies
+            if len(ring) == ring.maxlen:
+                evicted = ring[0]
+                self._below_high -= evicted < high
+                self._at_or_below_low -= evicted <= low
+            ring.append(seconds)
+            self._below_high += seconds < high
+            self._at_or_below_low += seconds <= low
 
     def latency_p95(self) -> float:
         """Current p95 over the ring buffer (0.0 when empty)."""
         with self._lock:
             return self._p95_locked()
 
+    def _p95_index_locked(self) -> int:
+        n = len(self._latencies)
+        return min(max(0, int(0.95 * n) - (n >= 20)), n - 1)
+
     def _p95_locked(self) -> float:
         if not self._latencies:
             return 0.0
-        ordered = sorted(self._latencies)
-        index = max(0, int(0.95 * len(ordered)) - (len(ordered) >= 20))
-        index = min(index, len(ordered) - 1)
-        return ordered[index]
+        return sorted(self._latencies)[self._p95_index_locked()]
 
     # -- ladder evaluation ---------------------------------------------
 
@@ -187,29 +203,34 @@ class BrownoutGovernor:
         """
         policy = self.policy
         with self._lock:
-            p95 = self._p95_locked()
+            # With the ring sorted and p95 = ordered[index]:
+            # p95 >= high exactly when at most ``index`` samples lie
+            # below ``high``, and p95 <= low exactly when more than
+            # ``index`` samples lie at or below ``low``.  An empty ring
+            # (index -1) reads as p95 = 0.0: never hot, always calm.
+            index = self._p95_index_locked()
             hot = (
                 queue_depth >= policy.queue_high
-                or p95 >= policy.p95_high_seconds
+                or self._below_high <= index
             )
             calm = (
                 queue_depth <= policy.queue_low
-                and p95 <= policy.p95_low_seconds
+                and self._at_or_below_low > index
             )
             if hot:
                 self._calm_streak = 0
                 if self._level < policy.max_level:
-                    self._move(self._level + 1, queue_depth, p95)
+                    self._move(self._level + 1, queue_depth)
             elif calm and self._level > 0:
                 self._calm_streak += 1
                 if self._calm_streak >= policy.recovery_updates:
                     self._calm_streak = 0
-                    self._move(self._level - 1, queue_depth, p95)
+                    self._move(self._level - 1, queue_depth)
             else:
                 self._calm_streak = 0
             return self._level
 
-    def _move(self, level: int, queue_depth: int, p95: float) -> None:
+    def _move(self, level: int, queue_depth: int) -> None:
         # Caller holds the lock.
         previous = self._level
         self._level = level
@@ -217,7 +238,7 @@ class BrownoutGovernor:
             "from": previous,
             "to": level,
             "queue_depth": queue_depth,
-            "p95_ms": round(p95 * 1000.0, 3),
+            "p95_ms": round(self._p95_locked() * 1000.0, 3),
         }
         self._transitions.append(entry)
         registry = get_registry()

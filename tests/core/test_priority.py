@@ -207,3 +207,82 @@ def test_crossbar_tenure_bandwidth_saturates_below_supply():
     assert crossbar_tenure_bandwidth([1.0] * 4, 5.0) == pytest.approx(
         4 / 5
     )
+
+
+def _residual(values, b, tenure, t):
+    return t - interpolate_profile(values, b - (tenure - 1.0) * t)
+
+
+def test_effective_bandwidth_is_exact_on_a_linear_profile():
+    # f(x) = s x: the fixed point is T = s B / (1 + s (L - 1)).
+    slope = 0.75
+    profile = {b: slope * b for b in range(1, 17)}
+    for b in (1, 5, 16):
+        for tenure in (2.0, 3.5, 8.0):
+            expected = slope * b / (1.0 + slope * (tenure - 1.0))
+            assert effective_bandwidth(profile, b, tenure) == pytest.approx(
+                expected, rel=1e-15
+            )
+
+
+def test_effective_bandwidth_across_profile_gaps():
+    # partial with two groups profiles even bus counts only.
+    profile = {2: 1.8, 4: 3.2, 6: 4.1, 8: 4.6}
+    for b in profile:
+        for tenure in (2.0, 4.0, 8.0):
+            t = effective_bandwidth(profile, b, tenure)
+            assert 0.0 < t < profile[b]
+            assert abs(_residual(profile, b, tenure, t)) <= 1e-12
+    # B = 8, L = 2 solves on the segment [4, 6]: slope 0.45, so
+    # T = (3.2 + 0.45 * 4) / 1.45.
+    assert effective_bandwidth(profile, 8, 2.0) == pytest.approx(
+        5.0 / 1.45, rel=1e-15
+    )
+
+
+def test_effective_bandwidth_reads_no_point_above_b():
+    profile = {1: 0.9, 2: 1.7, 4: 3.0, 6: 3.2, 8: 7.9}
+    for b in (1, 2, 4, 6):
+        truncated = {k: v for k, v in profile.items() if k <= b}
+        for tenure in (1.0, 2.0, 3.0, 6.5):
+            assert effective_bandwidth(profile, b, tenure) == (
+                effective_bandwidth(truncated, b, tenure)
+            )
+
+
+def test_effective_bandwidth_on_flat_segments():
+    profile = {1: 1.0, 2: 1.0, 3: 1.0, 4: 2.0}
+    # T = f(3 - T) lands on the flat run [1, 3], where f = 1.
+    assert effective_bandwidth(profile, 3, 2.0) == 1.0
+    t = effective_bandwidth(profile, 4, 3.0)
+    assert abs(_residual(profile, 4, 3.0, t)) <= 1e-12
+
+
+def test_effective_bandwidth_all_zero_profile():
+    profile = {1: 0.0, 2: 0.0, 4: 0.0}
+    for b in (1, 2, 3, 4, 9):
+        assert effective_bandwidth(profile, b, 4.0) == 0.0
+
+
+def test_effective_bandwidth_past_the_last_profiled_count():
+    profile = {1: 0.9, 2: 1.7}
+    # The flat tail past B = 2 holds the root: T = f = 1.7 at x = 4.3.
+    assert effective_bandwidth(profile, 6, 2.0) == 1.7
+    # Long bursts pull the free-bus count back onto the first segment:
+    # T = 0.9 * 3 / (1 + 0.9 * 3).
+    t = effective_bandwidth(profile, 3, 4.0)
+    assert t == pytest.approx(2.7 / 3.7, rel=1e-15)
+    assert abs(_residual(profile, 3, 4.0, t)) <= 1e-12
+
+
+def test_effective_bandwidth_unit_tenure_is_bit_identical():
+    profile = {2: 1.8, 4: 3.2, 6: 4.1}
+    for b in (0, 1, 2, 3, 4, 5.5, 6, 11):
+        assert effective_bandwidth(profile, b, 1.0) == (
+            interpolate_profile(profile, b)
+        )
+
+
+def test_effective_bandwidth_rejects_an_empty_profile():
+    with pytest.raises(ConfigurationError):
+        effective_bandwidth({}, 4, 2.0)

@@ -11,7 +11,9 @@ must obey:
 * the strict-priority top class weakly dominates its fair (FCFS /
   proportional) share — priority can only help the critical class;
 * bandwidth weakly decreases in the mean tenure ``L`` (longer bursts
-  occupy buses, never free them).
+  occupy buses, never free them);
+* the per-segment tenure solve agrees with a bisection oracle on the
+  fixed point ``T = f(B - (L - 1) T)`` and leaves no residual.
 
 The suite runs under the derandomized "ci" profile registered in
 ``tests/conftest.py``, so failures replay identically in CI.
@@ -19,10 +21,13 @@ The suite runs under the derandomized "ci" profile registered in
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.batch import priority_class_profile
+from repro.core.priority import effective_bandwidth, interpolate_profile
 from repro.core.request_models import UniformRequestModel
 
 TOL = 1e-9
@@ -147,3 +152,74 @@ def test_bandwidth_weakly_decreases_in_tenure(
     long = _profile(scheme, n, b, rate, tenure=l_high)
     assert long.total <= short.total + TOL
     assert long.effective_buses <= short.effective_buses + TOL
+
+
+# ----------------------------------------------------------------------
+# Tenure fixed point against a bisection oracle
+# ----------------------------------------------------------------------
+
+
+def _bisection_oracle(values, n_buses, tenure):
+    """``T = f(B - (L - 1) T)`` by 96 bisection steps on ``[0, f(B)]``."""
+    cap = interpolate_profile(values, n_buses)
+    if tenure == 1.0:
+        return cap
+    if cap <= 0.0:
+        return 0.0
+    lo, hi = 0.0, cap
+    for _ in range(96):
+        mid = (lo + hi) / 2.0
+        free = n_buses - (tenure - 1.0) * mid
+        if mid - interpolate_profile(values, free) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+@st.composite
+def bandwidth_profiles(draw):
+    """Nondecreasing profiles over a gappy set of bus counts.
+
+    Bandwidth grows by at most one transfer per added bus, and steps
+    are often zero (flat runs) or whole (saturated buses).
+    """
+    counts = sorted(
+        draw(
+            st.sets(
+                st.integers(min_value=1, max_value=32),
+                min_size=1,
+                max_size=16,
+            )
+        )
+    )
+    values = {}
+    total, previous = 0.0, 0
+    for b in counts:
+        growth = draw(
+            st.sampled_from((0.0, 1.0))
+            | st.floats(min_value=0.0, max_value=1.0)
+        )
+        total += growth * (b - previous)
+        values[b] = total
+        previous = b
+    return values
+
+
+@settings(max_examples=300)
+@given(
+    values=bandwidth_profiles(),
+    data=st.data(),
+    tenure=st.sampled_from((1.0, 2.0, 8.0)) | tenures,
+)
+def test_tenure_solve_matches_bisection_oracle(values, data, tenure):
+    n_buses = data.draw(
+        st.sampled_from(sorted(values))
+        | st.integers(min_value=1, max_value=40),
+        label="B",
+    )
+    t = effective_bandwidth(values, n_buses, tenure)
+    oracle = _bisection_oracle(values, n_buses, tenure)
+    assert math.isclose(t, oracle, rel_tol=1e-12, abs_tol=0.0)
+    residual = t - interpolate_profile(values, n_buses - (tenure - 1.0) * t)
+    assert abs(residual) <= 1e-12

@@ -5,6 +5,9 @@ walk is exactly reproducible — the property the chaos replay suite
 leans on.
 """
 
+import random
+from collections import deque
+
 import pytest
 
 from repro import build_manifest, telemetry
@@ -142,3 +145,94 @@ class TestTelemetryAndValidation:
             BrownoutPolicy(batch_shrink_factor=1.0)
         with pytest.raises(ConfigurationError):
             BrownoutPolicy(recovery_updates=0)
+
+
+class _SortedP95Ladder:
+    """The ladder as first written: sort the ring at every evaluation."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.latencies = deque(maxlen=policy.latency_window)
+        self.level = 0
+        self.calm_streak = 0
+        self.transitions = []
+
+    def p95(self):
+        if not self.latencies:
+            return 0.0
+        ordered = sorted(self.latencies)
+        index = max(0, int(0.95 * len(ordered)) - (len(ordered) >= 20))
+        return ordered[min(index, len(ordered) - 1)]
+
+    def evaluate(self, queue_depth):
+        policy = self.policy
+        p95 = self.p95()
+        hot = (
+            queue_depth >= policy.queue_high
+            or p95 >= policy.p95_high_seconds
+        )
+        calm = (
+            queue_depth <= policy.queue_low
+            and p95 <= policy.p95_low_seconds
+        )
+        if hot:
+            self.calm_streak = 0
+            if self.level < policy.max_level:
+                self._move(self.level + 1, queue_depth, p95)
+        elif calm and self.level > 0:
+            self.calm_streak += 1
+            if self.calm_streak >= policy.recovery_updates:
+                self.calm_streak = 0
+                self._move(self.level - 1, queue_depth, p95)
+        else:
+            self.calm_streak = 0
+        return self.level
+
+    def _move(self, level, queue_depth, p95):
+        self.transitions.append({
+            "from": self.level,
+            "to": level,
+            "queue_depth": queue_depth,
+            "p95_ms": round(p95 * 1000.0, 3),
+        })
+        self.level = level
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_running_counts_match_the_sorted_p95_rule(seed):
+    rng = random.Random(seed)
+    low = rng.choice([0.0, 0.05, 0.1])
+    high = rng.choice([low + 0.01, low + 0.05, 0.5])
+    policy = BrownoutPolicy(
+        criticality_classes=rng.randint(1, 5),
+        queue_high=rng.randint(4, 12),
+        queue_low=rng.randint(0, 4),
+        p95_high_seconds=high,
+        p95_low_seconds=low,
+        latency_window=rng.choice([1, 5, 19, 20, 21, 64, 128]),
+        recovery_updates=rng.randint(1, 4),
+    )
+    governor = BrownoutGovernor(policy)
+    oracle = _SortedP95Ladder(policy)
+    # Calm, middling and stormy stretches walk the ladder both ways;
+    # samples on the thresholds themselves exercise both tie rules.
+    for stretch in range(40):
+        phase = stretch % 3
+        ceiling = (low, high, 3.0 * high)[phase]
+        max_depth = (
+            policy.queue_low, policy.queue_high, 2 * policy.queue_high
+        )[phase]
+        for _ in range(rng.randint(20, 120)):
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.3:
+                    sample = rng.choice([0.0, low, high, ceiling])
+                else:
+                    sample = rng.uniform(0.0, ceiling)
+                governor.observe_latency(sample)
+                oracle.latencies.append(float(sample))
+            depth = rng.randint(0, max_depth)
+            assert governor.evaluate(depth) == oracle.evaluate(depth)
+            assert governor.latency_p95() == oracle.p95()
+    assert governor.transitions() == oracle.transitions
+    moves = [(t["from"], t["to"]) for t in oracle.transitions]
+    assert any(a < b for a, b in moves) and any(a > b for a, b in moves)

@@ -17,9 +17,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.batch import GridCell, evaluate_cells, scheme_bus_profile
 from repro.exceptions import ConfigurationError, ReproError
 from repro.service.engine import QueryEngine
-from repro.service.protocol import Query, parse_query
+from repro.service.protocol import Query, build_model, parse_query
 
 VALID = {"scheme": "full", "N": 16, "M": 16, "B": 8, "r": 0.5}
 
@@ -164,6 +165,85 @@ def test_tenure_throttles_reported_bandwidth():
             engine.close()
 
     _run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Tenure batching wall: a cell's value never depends on its companions
+# ----------------------------------------------------------------------
+
+_TENURE_SWEEPS = {
+    "full": [1, 3, 8, 16],
+    "single": [1, 3, 7, 16],
+    "partial": [2, 6, 8, 16],
+    "kclass": [1, 3, 8, 16],
+}
+
+_MODELS = {
+    "unif": {},
+    "hier": {"model": "hier", "hierarchy": {"clusters": 4}},
+}
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+@pytest.mark.parametrize("scheme", sorted(_TENURE_SWEEPS))
+def test_tenure_cell_alone_equals_grouped_and_swept(scheme, model):
+    counts = _TENURE_SWEEPS[scheme]
+    payload = {
+        "scheme": scheme, "N": 16, "M": 16, "r": 0.75, "tenure": 3,
+        **_MODELS[model],
+    }
+    query = parse_query({**payload, "B": counts}, sweep=True)
+    built = build_model(query)
+    kwargs = dict(query.network_kwargs)
+
+    def cell(b):
+        return GridCell.from_kwargs(scheme, 16, 16, b, built, **kwargs)
+
+    alone = [evaluate_cells([cell(b)])[0] for b in counts]
+    grouped = evaluate_cells([cell(b) for b in counts])
+
+    async def scenario():
+        engine = QueryEngine()
+        try:
+            return await engine.execute_payload(
+                {**payload, "B": counts}, sweep=True
+            )
+        finally:
+            engine.close()
+
+    swept = _run(scenario())
+    assert all(isinstance(v, float) for v in alone)
+    assert alone == grouped
+    assert alone == [swept.values[b] for b in counts]
+    untenured = scheme_bus_profile(scheme, 16, 16, counts, built)
+    assert all(
+        value < untenured.values[b] for b, value in zip(counts, alone)
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, counts, kwargs",
+    [
+        ("partial", [0, 3, 4, 7, 8, 17], {}),
+        ("partial", [2, 4, 6, 12], {"n_groups": 4}),
+        ("kclass", [1, 2, 5, 8], {"class_sizes": [2, 2, 4, 8]}),
+        (
+            "single",
+            [1, 2, 3, 4, 9],
+            {"bus_of_module": [j % 3 for j in range(16)]},
+        ),
+        ("full", [5, 20, -1, 16], {}),
+    ],
+)
+def test_tenure_skips_match_the_tenure_free_profile(scheme, counts, kwargs):
+    model = build_model(parse_query(dict(VALID)))
+    base = scheme_bus_profile(scheme, 16, 16, counts, model, **kwargs)
+    burst = scheme_bus_profile(
+        scheme, 16, 16, counts, model, tenure=2.5, **kwargs
+    )
+    assert base.skipped
+    assert burst.skipped == base.skipped
+    assert list(burst.values) == list(base.values)
 
 
 # ----------------------------------------------------------------------
