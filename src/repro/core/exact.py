@@ -66,14 +66,34 @@ def _check_size(n_memories: int) -> None:
 _BYTE_POPCOUNTS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def _popcounts(n_subsets: int) -> np.ndarray:
-    """Set bits of every bitmask ``0 .. n_subsets - 1``, byte by byte."""
+    """Set bits of every bitmask ``0 .. n_subsets - 1``, byte by byte.
+
+    Read-only and cached: enumeration asks for the same ``2**M`` table
+    on every call.
+    """
     value = np.arange(n_subsets)
     counts = np.zeros(n_subsets, dtype=np.int64)
     while value.any():
         counts += _BYTE_POPCOUNTS[value & 0xFF]
         value >>= 8
+    counts.setflags(write=False)
     return counts
+
+
+def _moebius_in_place(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """Möbius transform over the subset lattice, in place.
+
+    Turns containment sums ``g(T) = sum_{S <= T} f(S)`` back into
+    ``f``.  Viewed as ``(-1, 2, 2**j)``, the middle axis of ``values``
+    is bit ``j`` of the subset, so step ``j`` subtracts every
+    ``T - {j}`` from its ``T``.
+    """
+    for j in range(n_bits):
+        v = values.reshape(-1, 2, 1 << j)
+        v[:, 1, :] -= v[:, 0, :]
+    return values
 
 
 def requested_set_distribution(model: RequestModel) -> np.ndarray:
@@ -110,11 +130,7 @@ def requested_set_distribution(model: RequestModel) -> np.ndarray:
     containment = np.prod(inside, axis=0)
 
     # Moebius transform over the subset lattice: containment -> exact.
-    exact = containment.copy()
-    for j in range(m):
-        bit = 1 << j
-        has_bit = (np.arange(n_subsets) & bit).astype(bool)
-        exact[has_bit] -= exact[np.arange(n_subsets)[has_bit] ^ bit]
+    exact = _moebius_in_place(containment, m)
 
     # Rounding can leave tiny negatives on impossible sets.
     np.clip(exact, 0.0, 1.0, out=exact)
@@ -247,38 +263,37 @@ def _served_per_subset(
 
 
 def _matching_served_per_subset(memory_bus: np.ndarray, n_subsets: int) -> np.ndarray:
-    """Maximum-matching served counts for every subset, by lattice DP.
+    """Maximum-matching served counts for every subset ``T``.
 
-    Walking subsets in ascending order, each subset ``T`` extends its
-    parent ``T`` minus its lowest module by one augmenting path, so the
-    whole table costs one Kuhn augmentation per subset instead of a full
-    matching per subset.
+    By the König–Ore deficiency form of Hall's theorem the largest
+    matching of ``T`` into the buses is
+    ``|T| - max over S <= T of (|S| - |N(S)|)``, where ``N(S)`` is the set
+    of buses adjacent to some module of ``S`` (``S`` empty gives 0).
+    ``N(S)`` for every ``S`` comes from the lowest-bit recurrence
+    ``N(S) = N(S - low(S)) | buses(low(S))`` over bus bitmasks, and the
+    max over subsets from an in-place subset-max transform, so the
+    table costs ``O(M 2**M)`` array work and no per-subset search.
+    ``n_subsets`` is ``2**M`` for the ``M`` rows of ``memory_bus``.
     """
-    adjacency = [[int(i) for i in np.flatnonzero(row)] for row in memory_bus]
-    n_buses = int(memory_bus.shape[1])
-    served = np.zeros(n_subsets)
-    matchings: list = [None] * n_subsets
-    matchings[0] = [None] * n_buses
+    memory_bus = np.asarray(memory_bus, dtype=bool)
+    n_modules, n_buses = memory_bus.shape
+    bus_masks = (memory_bus.astype(np.int64) << np.arange(n_buses)).sum(axis=1)
 
-    def augment(match_of_bus: list, module: int, visited: set) -> bool:
-        for bus in adjacency[module]:
-            if bus in visited:
-                continue
-            visited.add(bus)
-            holder = match_of_bus[bus]
-            if holder is None or augment(match_of_bus, holder, visited):
-                match_of_bus[bus] = module
-                return True
-        return False
+    # Same strided walk as the subset masses in requested_set_distribution.
+    neighbours = np.zeros(n_subsets, dtype=np.int64)
+    for j in reversed(range(n_modules)):
+        step = 2 << j
+        np.bitwise_or(
+            neighbours[::step], bus_masks[j], out=neighbours[1 << j :: step]
+        )
 
-    for t in range(1, n_subsets):
-        low = t & (-t)
-        module = low.bit_length() - 1
-        match_of_bus = list(matchings[t ^ low])
-        grew = augment(match_of_bus, module, set())
-        matchings[t] = match_of_bus
-        served[t] = served[t ^ low] + (1.0 if grew else 0.0)
-    return served
+    sizes = _popcounts(n_subsets)
+    deficiency = sizes - _popcounts(1 << n_buses)[neighbours]
+    # Subset-max transform: deficiency[T] becomes its max over S <= T.
+    for j in range(n_modules):
+        v = deficiency.reshape(-1, 2, 1 << j)
+        np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return (sizes - deficiency).astype(float)
 
 
 def exact_bandwidth(network: MultipleBusNetwork, model: RequestModel) -> float:

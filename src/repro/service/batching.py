@@ -12,6 +12,13 @@ either bound trips:
   concurrent-burst shape coalescing and batching exploit — share one
   grid call while an isolated request never waits on a timer.
 
+The query engine submits a cell here only when grouping can pay: when
+the caller runs inside a task (its same-tick siblings can join the
+window), when cells are already pending, or when the delay is nonzero.
+A lone cell read by the HTTP front-end outside any task finds the
+window empty and is evaluated in place by the engine, without a window
+tick.
+
 The flush callable receives the batched items and returns one result per
 item (or an exception instance to fail just that item); each submitter's
 future resolves accordingly.  A flush that *raises* fails the whole

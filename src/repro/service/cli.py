@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-delay", type=float, default=0.0,
         help="seconds the oldest queued cell may wait "
-        "(0 = flush every event-loop tick)",
+        "(0 = flush every event-loop tick, and answer a lone cell at once)",
     )
     parser.add_argument(
         "--rate-limit", type=float, default=None,

@@ -18,12 +18,16 @@ bytes, the others on the normalized
    requests costs one evaluation.  Failures propagate to every waiter
    but are evicted immediately — an error can never poison the map or
    the LRU.
-3. **The batched analytic engine** — sweeps call
-   :func:`~repro.analysis.batch.scheme_bus_profile` directly; single
-   cells enqueue into a :class:`~repro.service.batching.BatchWindow`
-   and distinct queries arriving in the same event-loop tick that share
-   a profile signature are answered by **one** grid call through
-   :func:`~repro.analysis.batch.evaluate_cells`.
+3. **The batched analytic engine** — a sweep calls
+   :func:`~repro.analysis.batch.scheme_bus_profile` at once, in the
+   caller's own step; single cells go through
+   :func:`~repro.analysis.batch.evaluate_cells`.  A cell from a caller
+   outside any task (the HTTP front-end's synchronous step) that finds
+   the batch window empty with no delay is evaluated at once too, with
+   no task and no window tick.  Otherwise a cell enqueues into a
+   :class:`~repro.service.batching.BatchWindow`, and distinct queries
+   arriving in the same event-loop tick that share a profile signature
+   are answered by **one** grid call.
 
 Every request, whichever tier answers it, passes the same gate first:
 the ``service.engine`` chaos site, the shutdown and deadline checks,
@@ -154,7 +158,10 @@ class QueryEngine:
     batch_max_size / batch_max_delay:
         :class:`~repro.service.batching.BatchWindow` bounds for
         single-cell micro-batching.  The default delay of ``0.0``
-        batches per event-loop tick.
+        batches per event-loop tick: cells submitted from tasks in one
+        tick share a flush, while a cell from outside any task that
+        finds the window empty is evaluated in place (see
+        :meth:`execute`).  A nonzero delay batches every cell.
     admission:
         Optional :class:`~repro.service.admission.AdmissionController`;
         checked before any other tier with the engine's current queue
@@ -294,6 +301,13 @@ class QueryEngine:
         ``cached`` is a response-cache entry for ``query``: the request
         passes the same gate (chaos site, shutdown and deadline checks,
         admission, brownout) and is then answered with it.
+
+        A sweep is evaluated in this step, and so is a cell when the
+        caller runs outside any task and finds the batch window empty
+        with a zero delay: a one-cell flush with the same breaker, chaos
+        site and ``service.batch.*`` counters.  The answer's future stays
+        in the coalescing map until the tick ends, so identical requests
+        in the same tick coalesce onto it.
         """
         registry = get_registry()
         kind = "sweep" if query.is_sweep else "query"
@@ -352,6 +366,18 @@ class QueryEngine:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[query] = future
+        if self._inline(query):
+            # Answered in this step, but left in the coalescing map until
+            # the tick ends: identical requests read in the same tick
+            # coalesce onto it, and queue_depth counts the burst.
+            loop.call_soon(self._inflight.pop, query, None)
+            try:
+                result = self._evaluate_now(query)
+            except Exception as exc:
+                self._fail(future, exc)
+                raise
+            self._succeed(query, future, result, kind)
+            return self._response(query, result, "computed")
         # The computation runs in its own task so a leader that times
         # out (deadline) or disconnects cannot abandon the coalesced
         # waiters: the task fulfills the shared future regardless, and
@@ -370,8 +396,11 @@ class QueryEngine:
         Neither a timeout nor caller cancellation cancels the shared
         computation (``shield``, or a separate waiter under a deadline)
         — other coalesced waiters and the result LRU still get the
-        answer.
+        answer.  A future already settled (an answer evaluated in place
+        earlier in this tick) is read without suspending.
         """
+        if future.done():
+            return future.result()
         if deadline is None:
             return await asyncio.shield(future)
         # A timer and a done-callback rather than ``asyncio.wait_for``,
@@ -417,16 +446,25 @@ class QueryEngine:
                 future.cancel()
             raise
         except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-                future.exception()
+            self._fail(future, exc)
         else:
-            if not future.done():
-                future.set_result(result)
-            self._lru_put(query, result)
-            get_registry().increment("service.computed", kind=kind)
+            self._succeed(query, future, result, kind)
         finally:
             self._inflight.pop(query, None)
+
+    @staticmethod
+    def _fail(future: asyncio.Future, exc: Exception) -> None:
+        if not future.done():
+            future.set_exception(exc)
+            future.exception()
+
+    def _succeed(
+        self, query: Query, future: asyncio.Future, result: dict, kind: str
+    ) -> None:
+        if not future.done():
+            future.set_result(result)
+        self._lru_put(query, result)
+        get_registry().increment("service.computed", kind=kind)
 
     def _response(
         self, query: Query, result: dict, source: str
@@ -460,26 +498,56 @@ class QueryEngine:
             self._models.move_to_end(signature)
         return model
 
-    async def _compute(self, query: Query) -> dict:
-        model = self._model_for(query)
-        if not query.is_sweep:
-            value = await self._batch.submit((query, model))
-            return {"values": {query.bus_counts[0]: value}, "skipped": []}
-        with span("service.sweep", scheme=query.scheme):
-            profile = scheme_bus_profile(
-                query.scheme,
-                query.n_processors,
-                query.n_memories,
-                list(query.bus_counts),
-                model,
-                **dict(query.network_kwargs),
-            )
-        return {
-            "values": dict(profile.values),
-            "skipped": [_skip_record(cell) for cell in profile.skipped],
-        }
+    def _inline(self, query: Query) -> bool:
+        """Whether to evaluate ``query`` at once, in the caller's step.
 
-    def _flush_cells(self, items: list) -> list:
+        A sweep never joins the batch window, so it always is.  A cell
+        is when nothing could join its window: the caller runs outside
+        any task (the HTTP front-end's synchronous step, where a lone
+        cell would otherwise pay for a task and a window tick), the
+        window is empty and its delay is zero.  Cells read from several
+        connections in one tick are then each evaluated in place, not
+        grouped.  A caller inside a task (an ``asyncio.gather``) keeps
+        same-tick batching: its siblings are tasks that run later in
+        the same tick and join the window.
+        """
+        if query.is_sweep:
+            return True
+        batch = self._batch
+        return (
+            not batch.pending
+            and batch.max_delay == 0.0
+            and asyncio.current_task() is None
+        )
+
+    def _evaluate_now(self, query: Query) -> dict:
+        """Evaluate ``query`` at once: the sweep, or a one-cell flush."""
+        model = self._model_for(query)
+        if query.is_sweep:
+            with span("service.sweep", scheme=query.scheme):
+                profile = scheme_bus_profile(
+                    query.scheme,
+                    query.n_processors,
+                    query.n_memories,
+                    list(query.bus_counts),
+                    model,
+                    **dict(query.network_kwargs),
+                )
+            return {
+                "values": dict(profile.values),
+                "skipped": [_skip_record(cell) for cell in profile.skipped],
+            }
+        (value,) = self._flush_cells([(query, model)], inline=True)
+        if isinstance(value, Exception):
+            raise value
+        return {"values": {query.bus_counts[0]: value}, "skipped": []}
+
+    async def _compute(self, query: Query) -> dict:
+        """Evaluate the cell ``query`` through the batch window."""
+        value = await self._batch.submit((query, self._model_for(query)))
+        return {"values": {query.bus_counts[0]: value}, "skipped": []}
+
+    def _flush_cells(self, items: list, inline: bool = False) -> list:
         """Batch-window flush: one grid call per profile-signature group.
 
         Infeasible cells come back as per-item
@@ -490,6 +558,9 @@ class QueryEngine:
         then fails fast with a 503-mapped
         :class:`~repro.exceptions.BreakerOpenError` while it is open);
         per-item skips are organic rejections and never count.
+
+        ``inline`` marks a one-cell flush evaluated in the requesting
+        step without the window (counted in ``service.batch.inline``).
         """
         breaker = self.batch_breaker
         if breaker is not None:
@@ -508,6 +579,8 @@ class QueryEngine:
         ]
         groups = len({cell.profile_signature() for cell in cells})
         registry.increment("service.batch.flushes")
+        if inline:
+            registry.increment("service.batch.inline")
         registry.increment("service.batch.cells", len(cells))
         registry.increment("service.batch.groups", groups)
         try:

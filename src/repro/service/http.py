@@ -14,9 +14,11 @@ A connection answers its requests one at a time in arrival order
 (pipelined requests wait in the buffer), with keep-alive until the
 client sends ``Connection: close``.  A request's handler runs at once,
 outside any task, until it first suspends: a repeat answered from the
-engine's response cache is written back from the same callback that
-read it, and only a request that must wait (a batch window, a
-coalesced computation) gets a :class:`asyncio.Task`.  While the
+engine's response cache, and a lone cold cell or sweep the engine
+evaluates in place, is written back from the same callback that read
+it, and only a request that must wait (a batch window already holding
+cells or with a delay, a coalesced computation still running) gets an
+:class:`asyncio.Task`.  While the
 transport's write buffer is full, no further request is parsed.
 
 The body of a ``/query`` or ``/sweep`` goes to the engine as raw bytes,
@@ -163,6 +165,8 @@ class _Connection(asyncio.Protocol):
         self._searched = 0
         #: The request being answered, once it has suspended.
         self._task: asyncio.Task | None = None
+        #: Set while the rest of the pipeline waits for the next tick.
+        self._next_tick: asyncio.Handle | None = None
         self._writable = True
         self._eof = False
 
@@ -178,7 +182,11 @@ class _Connection(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         self._buffer += data
         self._serve()
-        if self._task is not None or not self._writable:
+        if (
+            self._task is not None
+            or self._next_tick is not None
+            or not self._writable
+        ):
             if len(self._buffer) > _READ_HIGH_WATER:
                 self._transport.pause_reading()
 
@@ -200,10 +208,20 @@ class _Connection(asyncio.Protocol):
     # -- requests ------------------------------------------------------
 
     def _serve(self) -> None:
-        """Answer each whole buffered request in turn until one suspends."""
+        """Answer each whole buffered request in turn until one suspends.
+
+        A request the engine computed in place leaves its entry in the
+        engine's coalescing map until the tick ends.  The rest of the
+        pipeline then waits for the next tick, as it did behind a
+        suspended computation, so this connection's own answers never
+        count towards the queue depth its later requests are admitted
+        against.
+        """
         transport = self._transport
+        engine = self._service.engine
         while (
             self._task is None
+            and self._next_tick is None
             and self._writable
             and not transport.is_closing()
         ):
@@ -219,11 +237,16 @@ class _Connection(asyncio.Protocol):
                     transport.resume_reading()
                 return
             method, path, body, close, deadline = request
+            inflight = engine.inflight_count
             coro = self._service._answer(method, path, body, deadline)
             try:
                 waiting = coro.send(None)
             except StopIteration as done:
                 self._write(done.value, close)
+                if engine.inflight_count > inflight:
+                    self._next_tick = asyncio.get_running_loop().call_soon(
+                        self._resume
+                    )
                 continue
             task = asyncio.get_running_loop().create_task(
                 _finish(coro, waiting)
@@ -233,6 +256,10 @@ class _Connection(asyncio.Protocol):
             task.add_done_callback(
                 lambda task, close=close: self._finished(task, close)
             )
+
+    def _resume(self) -> None:
+        self._next_tick = None
+        self._serve()
 
     def _finished(self, task: asyncio.Task, close: bool) -> None:
         self._service._requests.discard(task)
