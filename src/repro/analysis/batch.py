@@ -36,12 +36,12 @@ import numpy as np
 from repro.analysis.evaluate import analytic_bandwidth
 from repro.core.binomial import log_binomial_coefficients, validate_probability
 from repro.core.cache import cached_binomial_pmf, cached_poisson_binomial_pmf
-from repro.core.kclasses import bandwidth_kclass, class_request_pmfs
+from repro.core.kclasses import idle_products
 from repro.core.priority import (
     DISCIPLINES,
     crossbar_tenure_bandwidth,
     cumulative_weights,
-    effective_bandwidth,
+    effective_bandwidths,
     monotone_class_split,
     proportional_split,
     validate_class_weights,
@@ -248,20 +248,9 @@ def bandwidth_kclass_batch(
         raise ConfigurationError(
             f"K={n_classes} classes require K <= B={int(bus.min())} buses"
         )
-    cdfs = [
-        np.cumsum(pmf)
-        for pmf in class_request_pmfs(sizes, request_probability)
-    ]
-    b_max = int(bus.max())
     # ys[t] = Y(a) with a = K - b_max + 1 + t; under B buses, bus i has
     # a = i + K - B, so its Y values are the last B entries of ys.
-    ys = np.empty(b_max)
-    for t, a in enumerate(range(n_classes - b_max + 1, n_classes + 1)):
-        idle = 1.0
-        for j in range(max(a, 1), n_classes + 1):
-            cdf = cdfs[j - 1]
-            idle *= float(cdf[min(j - a, len(cdf) - 1)])
-        ys[t] = 1.0 - idle
+    ys = 1.0 - idle_products(sizes, int(bus.max()), request_probability)
     suffix = np.cumsum(ys[::-1])  # suffix[b - 1] = sum of the last b Y's
     return suffix[bus - 1]
 
@@ -529,7 +518,6 @@ def _scheme_bus_profile(
     # here, before the batchable-kwargs check: class weights never
     # change the work-conserving *total* bandwidth, and tenure routes
     # to the fixed-point approximation layer.
-    network_kwargs = dict(network_kwargs)
     class_weights = network_kwargs.pop("class_weights", None)
     if class_weights is not None:
         validate_class_weights(class_weights)
@@ -651,8 +639,8 @@ def _profile_kclass(profile, n_processors, n_memories, valid, model, x, kwargs):
         profile.values = {b: float(v) for b, v in zip(valid, batch)}
         return profile
     # Default factory layout: K = B equal classes, so the class structure
-    # itself changes with B — evaluate per count, sharing class pmfs
-    # through the cache (sizes repeat heavily across counts).
+    # itself changes with B — one eq. (11) pass per count (a prefix
+    # product when B divides M).
     xs = None if x is not None else model.module_request_probabilities()
     for b in valid:
         sizes = equal_class_sizes(n_memories, b)
@@ -660,7 +648,8 @@ def _profile_kclass(profile, n_processors, n_memories, valid, model, x, kwargs):
             x if x is not None
             else _kclass_class_probabilities(sizes, xs)
         )
-        profile.values[b] = bandwidth_kclass(sizes, b, request)
+        ys = 1.0 - idle_products(sizes, b, request)
+        profile.values[b] = float(ys.sum())
     return profile
 
 
@@ -782,7 +771,7 @@ def _tenure_profile(
     The crossbar has no bus contention, so tenure only throttles each
     module's renewal rate (:func:`crossbar_tenure_bandwidth`).  Every
     bus-limited scheme instead solves the free-bus fixed point
-    ``T = f(B - (L - 1) T)`` (:func:`effective_bandwidth`) on the
+    ``T = f(B - (L - 1) T)`` (:func:`effective_bandwidths`) on the
     closed-form profile ``f``.  That profile is evaluated once, over
     the requested counts followed by every other count up to the
     largest one the machine can hold, so the interpolation has
@@ -816,12 +805,12 @@ def _tenure_profile(
         model,
         **network_kwargs,
     )
+    solved = [b for b in support.values if b in requested]
     return BusProfile(
-        values={
-            b: effective_bandwidth(support.values, b, tenure)
-            for b in support.values
-            if b in requested
-        },
+        values=(
+            effective_bandwidths(support.values, solved, tenure)
+            if solved else {}
+        ),
         skipped=[
             cell for cell in support.skipped if cell.n_buses in requested
         ],

@@ -18,6 +18,7 @@ symmetric — an extension the paper sidesteps by symmetry arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -86,6 +87,19 @@ def log_binomial_coefficients(n: int) -> np.ndarray:
     return table[n] - table - table[::-1]
 
 
+@functools.lru_cache(maxsize=256)
+def _binomial_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(log C(n, i), i, n - i)`` for ``i = 0..n``: read-only, cached.
+
+    They depend on ``n`` only, so a new ``p`` pays for its own terms alone.
+    """
+    i = np.arange(n + 1)
+    terms = (log_binomial_coefficients(n), i, n - i)
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """Return the full pmf vector of ``Binomial(n, p)`` with length ``n + 1``.
 
@@ -108,9 +122,8 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
         pmf = np.zeros(n + 1)
         pmf[n] = 1.0
         return pmf
-    i = np.arange(n + 1)
-    log_comb = log_binomial_coefficients(n)
-    log_pmf = log_comb + i * np.log(p) + (n - i) * np.log1p(-p)
+    log_comb, i, rest = _binomial_terms(n)
+    log_pmf = log_comb + i * np.log(p) + rest * np.log1p(-p)
     pmf = np.exp(log_pmf)
     # Normalize away the accumulated rounding so downstream tail sums are
     # exact expectations of a true distribution.

@@ -30,12 +30,13 @@ hierarchical model like any other request pattern.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.request_models import RequestModel
+from repro.core.request_models import RequestModel, SharedFractions
 from repro.exceptions import ModelError
 
 __all__ = ["HierarchicalRequestModel", "paper_two_level_model"]
@@ -52,6 +53,152 @@ def _suffix_products(values: Sequence[int]) -> list[int]:
     for idx in range(len(values) - 1, -1, -1):
         out[idx] = out[idx + 1] * int(values[idx])
     return out
+
+
+class _HierarchyShape:
+    """Rate-free state of one hierarchy, checked once and shared by every rate.
+
+    Runs every structural check of the model constructor except the
+    rate's.  The normalization total is kept rather than checked, so the
+    constructor still checks the rate first; only normalized shapes ever
+    build their (shared, read-only) fraction matrix.
+    """
+
+    __slots__ = (
+        "branching", "variant", "memory_leaf_size", "fractions",
+        "n_processors", "n_memories", "proc_suffix", "mem_suffix",
+        "module_counts", "total", "shared",
+    )
+
+    def __init__(
+        self,
+        branching: tuple[int, ...],
+        fractions: tuple[float, ...],
+        memory_leaf_size,
+        variant: str,
+    ):
+        if not branching:
+            raise ModelError("branching must contain at least one level")
+        if any(k < 1 for k in branching):
+            raise ModelError(f"all branching factors must be >= 1: {branching}")
+        n_levels = len(branching)
+        if variant not in ("nxn", "nxm"):
+            raise ModelError(f"unknown hierarchy variant: {variant!r}")
+
+        n_processors = math.prod(branching)
+        if variant == "nxn":
+            if memory_leaf_size is not None and memory_leaf_size != branching[-1]:
+                raise ModelError(
+                    "the N x N variant pairs each processor with one module; "
+                    "memory_leaf_size must be omitted or equal k_n"
+                )
+            memory_leaf_size = branching[-1]
+            n_memories = n_processors
+            expected_fracs = n_levels + 1
+        else:
+            if memory_leaf_size is None:
+                raise ModelError("the N x M variant requires memory_leaf_size")
+            memory_leaf_size = int(memory_leaf_size)
+            if memory_leaf_size < 1:
+                raise ModelError(
+                    f"memory_leaf_size must be >= 1, got {memory_leaf_size}"
+                )
+            n_memories = math.prod(branching[:-1]) * memory_leaf_size
+            expected_fracs = n_levels
+
+        if len(fractions) != expected_fracs:
+            raise ModelError(
+                f"{variant} hierarchy with {n_levels} levels needs "
+                f"{expected_fracs} fractions, got {len(fractions)}"
+            )
+        if any(m < 0.0 for m in fractions):
+            raise ModelError(f"fractions must be non-negative: {fractions}")
+
+        self.branching = branching
+        self.variant = variant
+        self.memory_leaf_size = memory_leaf_size
+        self.fractions = fractions
+        self.n_processors = n_processors
+        self.n_memories = n_memories
+        # Processor ancestry: suffix products over (k_1..k_n).
+        self.proc_suffix = _suffix_products(branching)
+        # Memory ancestry: suffix products over (k_1..k_{n-1}, k'_n).
+        self.mem_suffix = _suffix_products(branching[:-1] + (memory_leaf_size,))
+        self.module_counts = self._module_counts()
+        self.total = sum(m * c for m, c in zip(fractions, self.module_counts))
+        self.shared = SharedFractions((n_processors, n_memories), self._matrix)
+
+    def _module_counts(self) -> tuple[int, ...]:
+        n = len(self.branching)
+        if self.variant == "nxn":
+            counts = [1]
+            for i in range(1, n + 1):
+                level = n - i + 1  # 1-based index of k_{n-i+1}
+                k = self.branching[level - 1]
+                counts.append((k - 1) * self.mem_suffix[level])
+            return tuple(counts)
+        counts = [self.memory_leaf_size]
+        for i in range(1, n):
+            level = n - i  # 1-based index of k_{n-i}
+            k = self.branching[level - 1]
+            counts.append((k - 1) * self.mem_suffix[level])
+        return tuple(counts)
+
+    def _matrix(self) -> np.ndarray:
+        n = len(self.branching)
+        procs = np.arange(self.n_processors)
+        mods = np.arange(self.n_memories)
+        deepest = n if self.variant == "nxn" else n - 1
+        sep = np.full((self.n_processors, self.n_memories), deepest)
+        # Walk levels from shallow to deep; pairs sharing a deeper ancestor
+        # overwrite their separation with a smaller value.
+        for level in range(1, deepest + 1):
+            shared = (
+                procs[:, None] // self.proc_suffix[level]
+                == mods[None, :] // self.mem_suffix[level]
+            )
+            sep[shared] = deepest - level
+        return np.asarray(self.fractions)[sep]
+
+
+@functools.lru_cache(maxsize=256)
+def _hierarchy_shape(branching, fractions, memory_leaf_size, variant):
+    """The one :class:`_HierarchyShape` of these arguments (errors uncached)."""
+    return _HierarchyShape(branching, fractions, memory_leaf_size, variant)
+
+
+@functools.lru_cache(maxsize=256)
+def _per_module_fractions(
+    branching: tuple[int, ...],
+    aggregate: tuple[float, ...],
+    memory_leaf_size: int | None,
+) -> tuple[float, ...]:
+    """Per-module fractions of one aggregate spec (rate-free, cached)."""
+    variant = "nxn" if memory_leaf_size is None else "nxm"
+    if abs(sum(aggregate) - 1.0) > _SUM_TOL:
+        raise ModelError(
+            f"aggregate fractions must sum to 1, got {sum(aggregate):.9f}"
+        )
+    counts = HierarchicalRequestModel._placeholder(
+        branching, memory_leaf_size, variant, 1.0
+    ).module_counts_per_separation()
+    if len(aggregate) != len(counts):
+        raise ModelError(
+            f"need {len(counts)} aggregate fractions for this hierarchy, "
+            f"got {len(aggregate)}"
+        )
+    per_module = []
+    for agg, count in zip(aggregate, counts):
+        if count == 0:
+            if agg > _SUM_TOL:
+                raise ModelError(
+                    "aggregate fraction assigned to an empty separation "
+                    f"class (aggregate={agg}, count=0)"
+                )
+            per_module.append(0.0)
+        else:
+            per_module.append(agg / count)
+    return tuple(per_module)
 
 
 class HierarchicalRequestModel(RequestModel):
@@ -82,62 +229,25 @@ class HierarchicalRequestModel(RequestModel):
         memory_leaf_size: int | None = None,
         _variant: str = "nxn",
     ):
-        branching = tuple(int(k) for k in branching)
-        if not branching:
-            raise ModelError("branching must contain at least one level")
-        if any(k < 1 for k in branching):
-            raise ModelError(f"all branching factors must be >= 1: {branching}")
-        n_levels = len(branching)
-        if _variant not in ("nxn", "nxm"):
-            raise ModelError(f"unknown hierarchy variant: {_variant!r}")
-
-        n_processors = math.prod(branching)
-        if _variant == "nxn":
-            if memory_leaf_size is not None and memory_leaf_size != branching[-1]:
-                raise ModelError(
-                    "the N x N variant pairs each processor with one module; "
-                    "memory_leaf_size must be omitted or equal k_n"
-                )
-            memory_leaf_size = branching[-1]
-            n_memories = n_processors
-            expected_fracs = n_levels + 1
-        else:
-            if memory_leaf_size is None:
-                raise ModelError("the N x M variant requires memory_leaf_size")
-            memory_leaf_size = int(memory_leaf_size)
-            if memory_leaf_size < 1:
-                raise ModelError(
-                    f"memory_leaf_size must be >= 1, got {memory_leaf_size}"
-                )
-            n_memories = math.prod(branching[:-1]) * memory_leaf_size
-            expected_fracs = n_levels
-
-        fractions = tuple(float(m) for m in fractions)
-        if len(fractions) != expected_fracs:
-            raise ModelError(
-                f"{_variant} hierarchy with {n_levels} levels needs "
-                f"{expected_fracs} fractions, got {len(fractions)}"
-            )
-        if any(m < 0.0 for m in fractions):
-            raise ModelError(f"fractions must be non-negative: {fractions}")
-
-        super().__init__(n_processors, n_memories, rate)
-        self._branching = branching
-        self._variant = _variant
-        self._memory_leaf_size = memory_leaf_size
-        self._fractions = fractions
-        # Processor ancestry: suffix products over (k_1..k_n).
-        self._proc_suffix = _suffix_products(branching)
-        # Memory ancestry: suffix products over (k_1..k_{n-1}, k'_n).
-        mem_branching = branching[:-1] + (memory_leaf_size,)
-        self._mem_suffix = _suffix_products(mem_branching)
-
-        counts = self.module_counts_per_separation()
-        total = sum(m * c for m, c in zip(fractions, counts))
-        if abs(total - 1.0) > _SUM_TOL:
+        shape = _hierarchy_shape(
+            tuple(int(k) for k in branching),
+            tuple(float(m) for m in fractions),
+            memory_leaf_size,
+            _variant,
+        )
+        super().__init__(shape.n_processors, shape.n_memories, rate)
+        self._shape = shape
+        self._branching = shape.branching
+        self._variant = shape.variant
+        self._memory_leaf_size = shape.memory_leaf_size
+        self._fractions = shape.fractions
+        self._proc_suffix = shape.proc_suffix
+        self._mem_suffix = shape.mem_suffix
+        if abs(shape.total - 1.0) > _SUM_TOL:
             raise ModelError(
                 "fractions do not normalize: sum_i m_i * N_i = "
-                f"{total:.9f} (counts {counts}, fractions {fractions})"
+                f"{shape.total:.9f} (counts {list(shape.module_counts)}, "
+                f"fractions {shape.fractions})"
             )
 
     # ------------------------------------------------------------------
@@ -198,38 +308,17 @@ class HierarchicalRequestModel(RequestModel):
         separation class (zero-population classes must have a zero
         aggregate).
         """
-        variant = "nxn" if memory_leaf_size is None else "nxm"
-        aggregate = tuple(float(a) for a in aggregate_fractions)
-        if abs(sum(aggregate) - 1.0) > _SUM_TOL:
-            raise ModelError(
-                f"aggregate fractions must sum to 1, got {sum(aggregate):.9f}"
-            )
-        # Build a throwaway instance with uniform placeholder fractions to
-        # obtain the population counts, then renormalize.
-        placeholder = cls._placeholder(branching, memory_leaf_size, variant, rate)
-        counts = placeholder.module_counts_per_separation()
-        if len(aggregate) != len(counts):
-            raise ModelError(
-                f"need {len(counts)} aggregate fractions for this hierarchy, "
-                f"got {len(aggregate)}"
-            )
-        per_module = []
-        for agg, count in zip(aggregate, counts):
-            if count == 0:
-                if agg > _SUM_TOL:
-                    raise ModelError(
-                        "aggregate fraction assigned to an empty separation "
-                        f"class (aggregate={agg}, count=0)"
-                    )
-                per_module.append(0.0)
-            else:
-                per_module.append(agg / count)
+        per_module = _per_module_fractions(
+            tuple(int(k) for k in branching),
+            tuple(float(a) for a in aggregate_fractions),
+            memory_leaf_size,
+        )
         return cls(
             branching,
             per_module,
             rate=rate,
             memory_leaf_size=memory_leaf_size,
-            _variant=variant,
+            _variant="nxn" if memory_leaf_size is None else "nxm",
         )
 
     @classmethod
@@ -360,20 +449,7 @@ class HierarchicalRequestModel(RequestModel):
         class holds ``k'_n`` favourites and outer classes scale by the
         memory leaf size instead of ``k_n``.
         """
-        n = len(self._branching)
-        if self._variant == "nxn":
-            counts = [1]
-            for i in range(1, n + 1):
-                level = n - i + 1  # 1-based index of k_{n-i+1}
-                k = self._branching[level - 1]
-                counts.append((k - 1) * self._mem_suffix[level])
-            return counts
-        counts = [self._memory_leaf_size]
-        for i in range(1, n):
-            level = n - i  # 1-based index of k_{n-i}
-            k = self._branching[level - 1]
-            counts.append((k - 1) * self._mem_suffix[level])
-        return counts
+        return list(self._shape.module_counts)
 
     def processor_counts_per_separation(self) -> list[int]:
         """Return, for a fixed module, the processor population per class.
@@ -398,26 +474,15 @@ class HierarchicalRequestModel(RequestModel):
     # ------------------------------------------------------------------
 
     def fraction_matrix(self) -> np.ndarray:
-        """Return the ``N x M`` fraction matrix induced by the hierarchy."""
-        n = len(self._branching)
-        procs = np.arange(self._n_processors)
-        mods = np.arange(self._n_memories)
-        if self._variant == "nxn":
-            deepest = n
-            sep = np.full((self._n_processors, self._n_memories), deepest)
-        else:
-            deepest = n - 1
-            sep = np.full((self._n_processors, self._n_memories), deepest)
-        # Walk levels from shallow to deep; pairs sharing a deeper ancestor
-        # overwrite their separation with a smaller value.
-        for level in range(1, deepest + 1):
-            shared = (
-                procs[:, None] // self._proc_suffix[level]
-                == mods[None, :] // self._mem_suffix[level]
-            )
-            sep[shared] = deepest - level
-        fracs = np.asarray(self._fractions)
-        return fracs[sep]
+        """Return the ``N x M`` fraction matrix induced by the hierarchy.
+
+        Every model of one shape (branching, fractions, leaf size) shares
+        this read-only matrix; it is built and validated once.
+        """
+        return self._shape.shared.matrix()
+
+    def validate(self) -> None:
+        self._shape.shared.validate()
 
     def symmetric_module_probability(self) -> float:
         """Closed-form eq. (2): ``X = 1 - prod_i (1 - r m_i)^{P_i}``.

@@ -30,6 +30,7 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "class_request_pmfs",
+    "idle_products",
     "bus_busy_probabilities",
     "bandwidth_kclass",
 ]
@@ -52,6 +53,21 @@ def _validate_classes(class_sizes: Sequence[int], n_buses: int) -> list[int]:
     return sizes
 
 
+def _class_probabilities(
+    n_classes: int, request_probability: float | Sequence[float]
+) -> list[float]:
+    """Validated ``(X_1, ..., X_K)`` from a common ``X`` or per-class values."""
+    if np.isscalar(request_probability):
+        return [validate_probability(float(request_probability), "X")] * n_classes
+    xs = [validate_probability(float(x), "X_j") for x in request_probability]
+    if len(xs) != n_classes:
+        raise ConfigurationError(
+            f"need one X per class: {len(xs)} probabilities "
+            f"for {n_classes} classes"
+        )
+    return xs
+
+
 def class_request_pmfs(
     class_sizes: Sequence[int],
     request_probability: float | Sequence[float],
@@ -68,16 +84,54 @@ def class_request_pmfs(
     repeated evaluations across bus counts of a sweep.
     """
     sizes = [int(s) for s in class_sizes]
-    if np.isscalar(request_probability):
-        xs = [validate_probability(float(request_probability), "X")] * len(sizes)
-    else:
-        xs = [validate_probability(float(x), "X_j") for x in request_probability]
-        if len(xs) != len(sizes):
-            raise ConfigurationError(
-                f"need one X per class: {len(xs)} probabilities "
-                f"for {len(sizes)} classes"
-            )
+    xs = _class_probabilities(len(sizes), request_probability)
     return [cached_binomial_pmf(m_j, x_j) for m_j, x_j in zip(sizes, xs)]
+
+
+def idle_products(
+    class_sizes: Sequence[int],
+    n_buses: int,
+    request_probability: float | Sequence[float],
+) -> np.ndarray:
+    """Eq. (11)'s idle products ``prod_{j>=a} P(C_j <= j - a)`` per bus.
+
+    Entry ``i - 1`` belongs to bus ``i`` of ``B = n_buses`` (``a = i + K
+    - B``); ``class_sizes`` must already be valid for ``B`` (``K <= B``).
+    One pmf is looked up, and one cdf summed, per distinct ``(M_j,
+    X_j)``.  Each product multiplies its factors in ascending ``j``
+    starting from 1.0, so every entry is bit-identical to the textbook
+    double loop.  With ``K = B`` equal classes (the default layout when
+    ``B`` divides ``M``) bus ``i`` multiplies ``cdf[min(t, M_j)]`` for
+    ``t = 0 .. K - i``: one prefix product of one cdf serves every bus.
+    """
+    sizes = [int(s) for s in class_sizes]
+    n_classes = len(sizes)
+    xs = _class_probabilities(n_classes, request_probability)
+    distinct: dict[tuple[int, float], int] = {}
+    cdfs: list[np.ndarray] = []
+    class_index = []
+    for key in zip(sizes, xs):
+        index = distinct.get(key)
+        if index is None:
+            index = distinct[key] = len(cdfs)
+            # cdf[m] = P(requests in the class <= m).
+            cdfs.append(cached_binomial_pmf(*key).cumsum())
+        class_index.append(index)
+    if len(cdfs) == 1 and n_classes == n_buses:
+        cdf = cdfs[0]
+        factors = cdf[np.minimum(np.arange(n_classes), cdf.size - 1)]
+        return np.multiply.accumulate(factors)[::-1]
+    # factors[b, j - 1] = P(C_j <= j - a_b), or 1.0 where class C_j does
+    # not reach bus b (j < a_b); the row product then runs over j >= a_b.
+    lengths = np.array([cdf.size for cdf in cdfs])[class_index]
+    offsets = np.cumsum([0] + [cdf.size for cdf in cdfs])[class_index]
+    lowest = np.arange(1, n_buses + 1) + (n_classes - n_buses)
+    allowed = np.arange(1, n_classes + 1) - lowest[:, None]
+    factors = np.concatenate(cdfs)[
+        offsets + np.minimum(np.maximum(allowed, 0), lengths - 1)
+    ]
+    factors[allowed < 0] = 1.0
+    return np.multiply.reduce(factors, axis=1)
 
 
 def bus_busy_probabilities(
@@ -102,22 +156,7 @@ def bus_busy_probabilities(
         Common ``X`` from eq. (2), or per-class ``X_j`` values.
     """
     sizes = _validate_classes(class_sizes, n_buses)
-    n_classes = len(sizes)
-    pmfs = class_request_pmfs(sizes, request_probability)
-    # Prefix sums of each class pmf: cdf[j][m] = P(requests in C_{j+1} <= m).
-    cdfs = [np.cumsum(pmf) for pmf in pmfs]
-
-    ys = np.empty(n_buses)
-    for bus in range(1, n_buses + 1):  # paper's 1-based bus index i
-        a = bus + n_classes - n_buses  # lowest class connected to this bus
-        idle = 1.0
-        for j in range(max(a, 1), n_classes + 1):
-            allowed = j - a  # class C_j may hold at most j - a requests
-            cdf = cdfs[j - 1]
-            idx = min(allowed, len(cdf) - 1)
-            idle *= float(cdf[idx])
-        ys[bus - 1] = 1.0 - idle
-    return ys
+    return 1.0 - idle_products(sizes, n_buses, request_probability)
 
 
 def bandwidth_kclass(

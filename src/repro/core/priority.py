@@ -61,6 +61,7 @@ __all__ = [
     "cumulative_weights",
     "interpolate_profile",
     "effective_bandwidth",
+    "effective_bandwidths",
     "crossbar_tenure_bandwidth",
     "monotone_class_split",
     "proportional_split",
@@ -315,7 +316,27 @@ def effective_bandwidth(
     gives ``f(B) <= 0`` returns ``0.0``.
     """
     tenure = validate_tenure(tenure, "geometric")
+    return _effective_on_points(_profile_points(values), n_buses, tenure)
+
+
+def effective_bandwidths(
+    values: Mapping[int, float], bus_counts: Sequence[int], tenure: float
+) -> dict[int, float]:
+    """:func:`effective_bandwidth` at each of ``bus_counts``.
+
+    The profile's points are sorted once for every count, and each
+    value is bit-identical to a separate :func:`effective_bandwidth`
+    call.
+    """
+    tenure = validate_tenure(tenure, "geometric")
     points = _profile_points(values)
+    return {b: _effective_on_points(points, b, tenure) for b in bus_counts}
+
+
+def _effective_on_points(
+    points: Sequence[tuple[float, float]], n_buses: int, tenure: float
+) -> float:
+    """Body of :func:`effective_bandwidth` on sorted profile points."""
     b = float(n_buses)
     cap = _interpolate_points(points, b)
     if tenure == 1.0:

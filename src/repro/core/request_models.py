@@ -23,6 +23,8 @@ computed in log space for numerical robustness.
 from __future__ import annotations
 
 import abc
+import functools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -33,9 +35,77 @@ __all__ = [
     "MatrixRequestModel",
     "UniformRequestModel",
     "FavoriteMemoryRequestModel",
+    "SharedFractions",
 ]
 
 _FRACTION_TOL = 1e-9
+#: Largest fraction matrix (in entries) a shape keeps once built; larger
+#: ones are rebuilt per call, so the shape caches stay small.
+_SHARED_MATRIX_MAX = 1 << 16
+
+
+def _check_fractions(f: np.ndarray, expected: tuple[int, int]) -> None:
+    """Raise :class:`ModelError` unless ``f`` is a valid fraction matrix."""
+    if f.shape != expected:
+        raise ModelError(f"fraction matrix shape {f.shape} != {expected}")
+    if np.any(f < -_FRACTION_TOL):
+        raise ModelError("fraction matrix contains negative entries")
+    row_sums = f.sum(axis=1)
+    if not np.allclose(row_sums, 1.0, atol=1e-6):
+        bad = int(np.argmax(np.abs(row_sums - 1.0)))
+        raise ModelError(
+            f"row {bad} of the fraction matrix sums to {row_sums[bad]:.9f}, "
+            "expected 1.0"
+        )
+
+
+class SharedFractions:
+    """One model shape's read-only fraction matrix, validated once.
+
+    The fraction matrix of a uniform or hierarchical model depends only
+    on the machine's shape, never on the rate ``r``, so every model of
+    one shape shares one of these.  The first :meth:`matrix` call builds
+    and validates the matrix; a shape that fails validation raises on
+    every call, because only a matrix that passed is kept.  Matrices
+    above ``_SHARED_MATRIX_MAX`` entries are rebuilt per call (and not
+    re-validated) so that a cache of shapes stays small.
+    """
+
+    __slots__ = ("_build", "_expected", "_matrix", "_valid")
+
+    def __init__(self, expected: tuple[int, int], build: Callable[[], np.ndarray]):
+        self._build = build
+        self._expected = expected
+        self._matrix: np.ndarray | None = None
+        self._valid = False
+
+    def matrix(self) -> np.ndarray:
+        """The read-only ``N x M`` fraction matrix."""
+        f = self._matrix
+        if f is None:
+            f = self._build()
+            if not self._valid:
+                _check_fractions(f, self._expected)
+                self._valid = True
+            f.setflags(write=False)
+            if f.size <= _SHARED_MATRIX_MAX:
+                self._matrix = f
+        return f
+
+    def validate(self) -> None:
+        """Raise :class:`ModelError` unless the matrix is valid."""
+        if not self._valid:
+            self.matrix()
+
+
+@functools.lru_cache(maxsize=256)
+def _uniform_fractions(n_processors: int, n_memories: int) -> SharedFractions:
+    return SharedFractions(
+        (n_processors, n_memories),
+        functools.partial(
+            np.full, (n_processors, n_memories), 1.0 / n_memories
+        ),
+    )
 
 
 class RequestModel(abc.ABC):
@@ -83,7 +153,9 @@ class RequestModel(abc.ABC):
         """Return the ``N x M`` matrix of request fractions.
 
         Row ``i`` gives the conditional distribution over modules for
-        processor ``i``'s requests; every row sums to one.
+        processor ``i``'s requests; every row sums to one.  Uniform and
+        hierarchical models return one read-only array shared by every
+        model of their shape: copy it before writing.
         """
 
     def request_matrix(self) -> np.ndarray:
@@ -150,19 +222,9 @@ class RequestModel(abc.ABC):
         wrong shape, contains negative entries, or has rows that do not
         sum to one.
         """
-        f = self.fraction_matrix()
-        expected = (self._n_processors, self._n_memories)
-        if f.shape != expected:
-            raise ModelError(f"fraction matrix shape {f.shape} != {expected}")
-        if np.any(f < -_FRACTION_TOL):
-            raise ModelError("fraction matrix contains negative entries")
-        row_sums = f.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, atol=1e-6):
-            bad = int(np.argmax(np.abs(row_sums - 1.0)))
-            raise ModelError(
-                f"row {bad} of the fraction matrix sums to {row_sums[bad]:.9f}, "
-                "expected 1.0"
-            )
+        _check_fractions(
+            self.fraction_matrix(), (self._n_processors, self._n_memories)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -199,12 +261,16 @@ class UniformRequestModel(RequestModel):
     This is the baseline the paper compares the hierarchical model against
     in every table ("Unif." columns), and a special case of both the
     Das-Bhuyan model and the hierarchical model.
+
+    Every model of one ``(N, M)`` shares one read-only fraction matrix,
+    built and validated once (:class:`SharedFractions`).
     """
 
     def fraction_matrix(self) -> np.ndarray:
-        return np.full(
-            (self._n_processors, self._n_memories), 1.0 / self._n_memories
-        )
+        return _uniform_fractions(self._n_processors, self._n_memories).matrix()
+
+    def validate(self) -> None:
+        _uniform_fractions(self._n_processors, self._n_memories).validate()
 
     def symmetric_module_probability(self) -> float:
         # Closed form: X = 1 - (1 - r/M)^N; avoids building the matrix.

@@ -566,14 +566,16 @@ class QueryEngine:
         if breaker is not None:
             breaker.check()
         registry = get_registry()
+        # A query's network kwargs are already GridCell's canonical
+        # sorted, hashable form.
         cells = [
-            GridCell.from_kwargs(
+            GridCell(
                 query.scheme,
                 query.n_processors,
                 query.n_memories,
                 query.bus_counts[0],
                 model,
-                **dict(query.network_kwargs),
+                query.network_kwargs,
             )
             for query, model in items
         ]

@@ -16,6 +16,10 @@ group, which matters for heterogeneous request models -- such
 recognitions are only used as a fast path when the request model is
 module-symmetric.
 
+The rules read each module's bus set as one integer (bit ``b`` set when
+the module attaches to bus ``b``), computed for every module in one
+numpy operation, so grouping, nesting and widths are integer operations.
+
 Recognition runs once per distinct structure: :func:`recognize_cached`
 memoizes by content digest and reports hit/miss counts to the telemetry
 registry (``topology.recognition_cache``), keeping recognition off the
@@ -57,35 +61,46 @@ class Recognition:
         return {name: value for name, value in self.network_kwargs}
 
 
-def _recognize_single(memory_bus: np.ndarray) -> Recognition | None:
+def _row_masks(memory_bus: np.ndarray) -> list[int]:
+    """Each module's bus set as one integer: bit ``b`` set iff on bus ``b``."""
+    n_buses = memory_bus.shape[1]
+    if n_buses < 63:
+        weights = np.left_shift(1, np.arange(n_buses, dtype=np.int64))
+        return (memory_bus @ weights).tolist()
+    packed = np.packbits(memory_bus, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _recognize_single(masks: list[int], n_buses: int) -> Recognition | None:
     """Each module on exactly one bus -> single-bus scheme."""
-    n_memories, n_buses = memory_bus.shape
-    if not (memory_bus.sum(axis=1) == 1).all():
+    if any(mask.bit_count() != 1 for mask in masks):
         return None
-    bus_of = memory_bus.argmax(axis=1)
-    if len(set(int(b) for b in bus_of)) != n_buses:
+    bus_of = [mask.bit_length() - 1 for mask in masks]
+    if len(set(bus_of)) != n_buses:
         # Some bus carries no module; dangling buses have no single-bus
         # counterpart (SingleBusNetwork requires every bus loaded).
         return None
-    base, extra = divmod(n_memories, n_buses)
-    default = np.repeat(
-        np.arange(n_buses), [base + 1 if i < extra else base for i in range(n_buses)]
-    )
-    if np.array_equal(bus_of, default):
+    base, extra = divmod(len(masks), n_buses)
+    default = [
+        bus
+        for bus in range(n_buses)
+        for _ in range(base + 1 if bus < extra else base)
+    ]
+    if bus_of == default:
         return Recognition("single")
     return Recognition(
         "single",
-        (("bus_of_module", tuple(int(b) for b in bus_of)),),
+        (("bus_of_module", tuple(bus_of)),),
         note="explicit module-to-bus map",
     )
 
 
-def _recognize_partial(memory_bus: np.ndarray) -> Recognition | None:
+def _recognize_partial(masks: list[int], n_buses: int) -> Recognition | None:
     """Disjoint equal complete-bipartite blocks -> partial scheme."""
-    n_memories, n_buses = memory_bus.shape
-    row_sets: dict[frozenset, list] = {}
-    for module, row in enumerate(memory_bus):
-        row_sets.setdefault(frozenset(np.flatnonzero(row).tolist()), []).append(module)
+    n_memories = len(masks)
+    row_sets: dict[int, list] = {}
+    for module, mask in enumerate(masks):
+        row_sets.setdefault(mask, []).append(module)
     groups = list(row_sets.items())
     n_groups = len(groups)
     if n_groups < 2:
@@ -94,20 +109,21 @@ def _recognize_partial(memory_bus: np.ndarray) -> Recognition | None:
         return None
     modules_per_group = n_memories // n_groups
     buses_per_group = n_buses // n_groups
-    seen_buses: set = set()
+    seen_buses = 0
     for bus_set, members in groups:
-        if len(bus_set) != buses_per_group or len(members) != modules_per_group:
+        if bus_set.bit_count() != buses_per_group or len(members) != modules_per_group:
             return None
         if bus_set & seen_buses:
             return None
         seen_buses |= bus_set
-    if len(seen_buses) != n_buses:
+    if seen_buses != (1 << n_buses) - 1:
         return None
     # Contiguous default layout: groups ordered by smallest bus, modules and
     # buses both in ascending blocks.
-    groups.sort(key=lambda item: min(item[0]))
+    groups.sort(key=lambda item: item[0] & -item[0])
+    block = (1 << buses_per_group) - 1
     contiguous = all(
-        bus_set == frozenset(range(q * buses_per_group, (q + 1) * buses_per_group))
+        bus_set == block << (q * buses_per_group)
         and members
         == list(range(q * modules_per_group, (q + 1) * modules_per_group))
         for q, (bus_set, members) in enumerate(groups)
@@ -124,19 +140,18 @@ def _recognize_partial(memory_bus: np.ndarray) -> Recognition | None:
     )
 
 
-def _recognize_kclass(memory_bus: np.ndarray) -> Recognition | None:
+def _recognize_kclass(masks: list[int], n_buses: int) -> Recognition | None:
     """Nested row attachment sets -> K-class hierarchical scheme."""
-    n_memories, n_buses = memory_bus.shape
-    row_sets = [frozenset(np.flatnonzero(row).tolist()) for row in memory_bus]
-    distinct = sorted(set(row_sets), key=len)
-    widths = [len(s) for s in distinct]
+    width_of = {mask: mask.bit_count() for mask in masks}
+    distinct = sorted(width_of, key=width_of.__getitem__)
+    widths = [width_of[mask] for mask in distinct]
     if len(set(widths)) != len(widths):
         # Two distinct sets of equal width cannot nest.
         return None
     for smaller, larger in zip(distinct, distinct[1:]):
-        if not smaller <= larger:
+        if smaller & ~larger:
             return None
-    if distinct[-1] != frozenset(range(n_buses)):
+    if distinct[-1] != (1 << n_buses) - 1:
         # Class K must reach every bus, otherwise some bus is dangling or
         # the widths do not line up with the paper's scheme.
         return None
@@ -144,11 +159,13 @@ def _recognize_kclass(memory_bus: np.ndarray) -> Recognition | None:
     n_classes = n_buses - min_width + 1
     # Class j (1-based) has width j + B - K; zero-size classes fill the gaps
     # for widths that no module uses.
-    class_of_module = [len(row_sets[j]) - min_width + 1 for j in range(n_memories)]
+    class_of_module = [width_of[mask] - min_width + 1 for mask in masks]
     class_sizes = [0] * n_classes
     for cls in class_of_module:
         class_sizes[cls - 1] += 1
-    natural_prefix = all(s == frozenset(range(len(s))) for s in distinct)
+    natural_prefix = all(
+        mask == (1 << width) - 1 for mask, width in zip(distinct, widths)
+    )
     default_order = class_of_module == sorted(class_of_module)
     kwargs: list = [("class_sizes", tuple(class_sizes))]
     note = ""
@@ -167,11 +184,12 @@ def recognize(structure: ConnectionStructure) -> Recognition | None:
     """
     if not structure.uniform_processors:
         return None
-    memory_bus = structure.memory_bus
-    if memory_bus.all():
+    n_buses = structure.n_buses
+    masks = _row_masks(structure.memory_bus)
+    if all(mask == (1 << n_buses) - 1 for mask in masks):
         return Recognition("full")
     for rule in (_recognize_single, _recognize_partial, _recognize_kclass):
-        recognition = rule(memory_bus)
+        recognition = rule(masks, n_buses)
         if recognition is not None:
             return recognition
     return None

@@ -192,11 +192,13 @@ def test_generator_families_match_structure_blind_reference(
 def test_incremental_matching_table_equals_from_scratch(
     spec, n, m, bus_counts
 ):
-    """The lattice-DP matching table == an independent per-subset Kuhn.
+    """The whole-lattice matching table == an independent per-subset Kuhn.
 
-    ``_matching_served_per_subset`` reuses the parent subset's matching
-    and augments once; here every subset is solved from scratch instead.
-    Any divergence means the incremental reuse corrupted a matching.
+    ``_matching_served_per_subset`` builds every subset's served count
+    at once from the König–Ore deficiency form (neighbour bitmasks, a
+    popcount lookup and a subset-max transform); here every subset is
+    matched from scratch by augmenting paths instead.  Any divergence
+    means the deficiency table miscounted a subset.
     """
     b = bus_counts[-1]
     matrix = generate_structure(spec, n, m, b).memory_bus
