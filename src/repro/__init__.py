@@ -27,8 +27,8 @@ Package map:
 * :mod:`repro.arbitration` — the two-stage arbitration substrate.
 * :mod:`repro.simulation` — synchronous cycle-level Monte-Carlo simulator.
 * :mod:`repro.workloads` — generators, traces, task-graph assignment.
-* :mod:`repro.faults` — bus fault injection, stochastic fault/repair
-  timelines, degraded-mode and availability-weighted bandwidth analysis.
+* :mod:`repro.faults` — static bus fault injection, degraded-mode and
+  availability-weighted bandwidth analysis.
 * :mod:`repro.resilience` — retry policies for crash-tolerant execution.
 * :mod:`repro.analysis` — sweeps, cross-scheme comparison, table rendering.
 * :mod:`repro.experiments` — reproduction of every paper table and figure.
@@ -92,16 +92,11 @@ from repro.exceptions import (
 from repro.faults import (
     AvailabilityPoint,
     DegradedNetwork,
-    ExponentialFaultProcess,
-    FaultEvent,
-    FaultSchedule,
-    FaultySimulationResult,
     availability_curve,
     degradation_curve,
     expected_bandwidth_under_failures,
     fail_buses,
     scheme_availability_curves,
-    simulate_with_faults,
     verify_fault_tolerance_degree,
 )
 from repro.obs import (
@@ -208,11 +203,6 @@ __all__ = [
     "fail_buses",
     "verify_fault_tolerance_degree",
     "degradation_curve",
-    "FaultEvent",
-    "FaultSchedule",
-    "ExponentialFaultProcess",
-    "FaultySimulationResult",
-    "simulate_with_faults",
     "AvailabilityPoint",
     "expected_bandwidth_under_failures",
     "availability_curve",

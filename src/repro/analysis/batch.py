@@ -517,14 +517,18 @@ def _scheme_bus_profile(
     # the sweep fabric thread them through verbatim) but are consumed
     # here, before the batchable-kwargs check: class weights never
     # change the work-conserving *total* bandwidth, and tenure routes
-    # to the fixed-point approximation layer.
+    # a bus-limited scheme to the fixed-point approximation layer.
+    # The crossbar has no bus contention, so its evaluator applies
+    # tenure to each module directly.
     class_weights = network_kwargs.pop("class_weights", None)
     if class_weights is not None:
         validate_class_weights(class_weights)
     tenure = network_kwargs.pop("tenure", None)
     if tenure is not None:
         tenure = validate_tenure(tenure, "geometric")
-        if tenure != 1.0:
+        if tenure == 1.0:
+            tenure = None
+        elif scheme != "crossbar":
             return _tenure_profile(
                 scheme, n_processors, n_memories, bus_counts, model,
                 tenure, **network_kwargs,
@@ -547,6 +551,8 @@ def _scheme_bus_profile(
     profile = BusProfile(values={}, skipped=skipped)
     if not valid:
         return profile
+    if tenure is not None:  # only the crossbar gets here with one
+        network_kwargs["tenure"] = tenure
     x = _symmetric_x(model)
     return _PROFILE_EVALUATORS[scheme](
         profile, n_processors, n_memories, valid, model, x, network_kwargs
@@ -559,6 +565,10 @@ def _profile_crossbar(profile, n_processors, n_memories, valid, model, x, kwargs
     value = float(
         np.sum([validate_probability(float(v), "X_j") for v in xs])
     )
+    tenure = kwargs.get("tenure")
+    if tenure is not None:
+        # Tenure only throttles each module's renewal rate.
+        value = crossbar_tenure_bandwidth([float(v) for v in xs], tenure)
     profile.values = {b: value for b in valid}
     return profile
 
@@ -766,32 +776,21 @@ def _tenure_profile(
     tenure: float,
     **network_kwargs,
 ) -> BusProfile:
-    """Effective bandwidth under mean tenure ``L`` per bus count.
+    """Effective bandwidth of a bus-limited scheme under mean tenure ``L``.
 
-    The crossbar has no bus contention, so tenure only throttles each
-    module's renewal rate (:func:`crossbar_tenure_bandwidth`).  Every
-    bus-limited scheme instead solves the free-bus fixed point
+    Each requested bus count solves the free-bus fixed point
     ``T = f(B - (L - 1) T)`` (:func:`effective_bandwidths`) on the
-    closed-form profile ``f``.  That profile is evaluated once, over
-    the requested counts followed by every other count up to the
-    largest one the machine can hold, so the interpolation has
-    support; the requested counts' skips come back as the tenure-free
-    profile reports them.  Every kernel is elementwise in the bus
-    count and the solve for ``B`` reads no point above ``B``, so a
-    cell's value does not depend on the counts it is evaluated with.
+    closed-form profile ``f``.  (The crossbar has no bus contention:
+    :func:`_profile_crossbar` throttles each module's renewal rate with
+    :func:`crossbar_tenure_bandwidth` instead.)  The profile is
+    evaluated once, over the requested counts followed by every other
+    count up to the largest one the machine can hold, so the
+    interpolation has support; the requested counts' skips come back
+    as the tenure-free profile reports them.  Every kernel is
+    elementwise in the bus count and the solve for ``B`` reads no point
+    above ``B``, so a cell's value does not depend on the counts it is
+    evaluated with.
     """
-    if scheme == "crossbar":
-        base = _scheme_bus_profile(
-            scheme, n_processors, n_memories, bus_counts, model,
-            **network_kwargs,
-        )
-        if base.values:
-            xs = model.module_request_probabilities()
-            value = crossbar_tenure_bandwidth(
-                [float(v) for v in xs], tenure
-            )
-            base.values = {b: value for b in base.values}
-        return base
     requested = {int(b) for b in bus_counts}
     # No bus-limited scheme is feasible past B = M (the network
     # constructors reject it), so the support stops there.

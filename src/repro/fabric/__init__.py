@@ -5,11 +5,10 @@ hierarchy) — embarrassingly shardable work.  This package is the only
 multi-process executor; :func:`repro.analysis.parallel.parallel_map` is
 its serial reference:
 
-* :mod:`repro.fabric.gridslice` — :class:`Grid` / :class:`GridSlice`, a
-  RangeSet-style compact cell-set algebra (union / intersect /
-  difference / ``split(n)``, canonical strings like
-  ``B=2-16/2,r=0.25-1.0``) used for shard addressing, checkpoint
-  manifests and retry bookkeeping.
+* :mod:`repro.fabric.gridslice` — :class:`Grid` / :class:`GridSlice`,
+  RangeSet-style compact cell sets (balanced ``split(n)``, canonical
+  strings like ``B=2-16/2,r=0.25-1.0``) used for shard addressing in
+  WORK frames, the run manifest and retry bookkeeping.
 * :mod:`repro.fabric.wire` — the length-prefixed JSON frame protocol
   workers stream results and heartbeats over.
 * :mod:`repro.fabric.jobs` — :class:`FabricJob`, the JSON-safe job

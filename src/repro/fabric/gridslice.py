@@ -1,15 +1,14 @@
-"""Compact cell-set algebra for sweep grids: :class:`Grid` + :class:`GridSlice`.
+"""Compact cell-set addressing for sweep grids: :class:`Grid` + :class:`GridSlice`.
 
 A sweep grid is a small Cartesian product of named axes (bus counts,
 request rates, model names, ...).  Addressing *subsets* of that grid —
-the shard a worker owns, the cells a crashed worker lost, the part of a
-checkpoint already on disk — wants a value type with set algebra and a
-compact, human-diffable string form, the way ClusterShell's RangeSet
-addresses node subsets.
+the shard a worker owns, the cells a crashed worker lost — wants a
+value type with a compact, human-diffable string form, the way
+ClusterShell's RangeSet addresses node subsets.
 
 :class:`GridSlice` is that type.  It is a frozen set of flat cell
-indices over a :class:`Grid`, with union / intersection / difference,
-balanced ``split(n)`` for sharding, and a canonical string form::
+indices over a :class:`Grid`, with balanced ``split(n)`` for sharding
+and a canonical string form::
 
     B=2-16/2,r=0.25-1.0          one rectangular block
     B=4,r=0.5;B=8,r=0.25-0.5     union of blocks (';'-separated)
@@ -31,7 +30,7 @@ import dataclasses
 import itertools
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from repro.exceptions import ConfigurationError
 
@@ -148,36 +147,6 @@ class Grid:
         raise ConfigurationError(
             f"unknown axis {name!r}; grid has {', '.join(self.names)}"
         )
-
-    def index_of(self, assignment: Sequence[object]) -> int:
-        """Flat index of one cell given a value per axis, in axis order."""
-        if len(assignment) != len(self.axes):
-            raise ConfigurationError(
-                f"assignment needs {len(self.axes)} values, "
-                f"got {len(assignment)}"
-            )
-        index = 0
-        for (name, values), value in zip(self.axes, assignment):
-            try:
-                position = values.index(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{value!r} is not a value of axis {name!r}"
-                ) from None
-            index = index * len(values) + position
-        return index
-
-    def cell(self, index: int) -> dict[str, object]:
-        """The ``{axis: value}`` assignment of one flat index."""
-        if not 0 <= index < self.size:
-            raise ConfigurationError(
-                f"cell index {index} out of range for grid of {self.size}"
-            )
-        assignment: dict[str, object] = {}
-        for name, values in reversed(self.axes):
-            index, position = divmod(index, len(values))
-            assignment[name] = values[position]
-        return {name: assignment[name] for name in self.names}
 
 
 def _is_number(text: str) -> bool:
@@ -302,12 +271,11 @@ def _parse_selector(
 
 @dataclasses.dataclass(frozen=True)
 class GridSlice:
-    """An immutable subset of a :class:`Grid`'s cells, with set algebra.
+    """An immutable subset of a :class:`Grid`'s cells.
 
     Use the classmethods to build one (:meth:`full`, :meth:`empty`,
-    :meth:`from_indices`, :meth:`parse`); combine with ``|``, ``&``,
-    ``-``; shard with :meth:`split`; and serialize with
-    :meth:`canonical`.
+    :meth:`from_indices`, :meth:`parse`); shard with :meth:`split`; and
+    serialize with :meth:`canonical`.
     """
 
     grid: Grid
@@ -380,64 +348,15 @@ class GridSlice:
         return cls(grid, frozenset(indices))
 
     # ------------------------------------------------------------------
-    # Set protocol
+    # Size and iteration
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __bool__(self) -> bool:
-        return bool(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.indices
-
     def __iter__(self) -> Iterator[int]:
         """Iterate flat indices in ascending (row-major) order."""
         return iter(sorted(self.indices))
-
-    def cells(self) -> Iterator[dict[str, object]]:
-        """Iterate ``{axis: value}`` assignments in index order."""
-        for index in self:
-            yield self.grid.cell(index)
-
-    def _check_grid(self, other: GridSlice) -> None:
-        if not isinstance(other, GridSlice):
-            raise TypeError(
-                f"expected a GridSlice, got {type(other).__name__}"
-            )
-        if other.grid != self.grid:
-            raise ConfigurationError(
-                "cannot combine slices of different grids"
-            )
-
-    def __or__(self, other: GridSlice) -> GridSlice:
-        self._check_grid(other)
-        return GridSlice(self.grid, self.indices | other.indices)
-
-    def __and__(self, other: GridSlice) -> GridSlice:
-        self._check_grid(other)
-        return GridSlice(self.grid, self.indices & other.indices)
-
-    def __sub__(self, other: GridSlice) -> GridSlice:
-        self._check_grid(other)
-        return GridSlice(self.grid, self.indices - other.indices)
-
-    def union(self, other: GridSlice) -> GridSlice:
-        """Alias for ``self | other``."""
-        return self | other
-
-    def intersect(self, other: GridSlice) -> GridSlice:
-        """Alias for ``self & other``."""
-        return self & other
-
-    def difference(self, other: GridSlice) -> GridSlice:
-        """Alias for ``self - other``."""
-        return self - other
-
-    def complement(self) -> GridSlice:
-        """The grid's cells not in this slice."""
-        return GridSlice.full(self.grid) - self
 
     # ------------------------------------------------------------------
     # Sharding
@@ -480,7 +399,7 @@ class GridSlice:
         values are omitted); anything else decomposes into one block
         per leading-axes prefix, with the final axis folded — so two
         equal slices always render identically, which makes shard maps
-        and checkpoint manifests diffable.
+        and run manifests diffable.
         """
         if not self.indices:
             return "empty"
@@ -534,9 +453,6 @@ class GridSlice:
                 )
             )
         return ",".join(parts)
-
-    def __str__(self) -> str:
-        return self.canonical()
 
 
 def _axis_numeric(values: tuple[object, ...]) -> bool:

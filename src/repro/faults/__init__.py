@@ -1,4 +1,4 @@
-"""Fault injection, stochastic fault/repair timelines, and availability."""
+"""Static bus fault injection, degraded-mode analysis and availability."""
 
 from repro.faults.analysis import (
     DegradationPoint,
@@ -15,14 +15,6 @@ from repro.faults.availability import (
     scheme_availability_curves,
 )
 from repro.faults.injection import DegradedNetwork, fail_buses
-from repro.faults.stochastic import (
-    ExponentialFaultProcess,
-    FaultEvent,
-    FaultSchedule,
-    FaultSegment,
-    FaultySimulationResult,
-    simulate_with_faults,
-)
 
 __all__ = [
     "DegradedNetwork",
@@ -32,12 +24,6 @@ __all__ = [
     "simulated_degraded_bandwidth",
     "DegradationPoint",
     "degradation_curve",
-    "FaultEvent",
-    "FaultSegment",
-    "FaultSchedule",
-    "ExponentialFaultProcess",
-    "FaultySimulationResult",
-    "simulate_with_faults",
     "AvailabilityPoint",
     "conditional_degraded_bandwidth",
     "expected_bandwidth_under_failures",

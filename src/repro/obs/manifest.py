@@ -5,9 +5,9 @@ after a run: did the cache work (hit rate), which simulation backend ran
 (and how often the auto selector fell back), which sweep cells were
 skipped and why, which RNG streams fed the Monte-Carlo, how resilient
 execution fared (retries by reason, quarantined cache files, fabric
-worker deaths and re-shards), what faults were injected (fail/repair
-events, degraded/blackout cycle exposure), and where the time went per
-phase (top-level spans).
+worker deaths and re-shards), how many bus-failure sets the
+availability analysis evaluated, and where the time went per phase
+(top-level spans).
 
 Determinism contract: no field carries a wall-clock timestamp or
 hostname.  Everything outside the ``"timings"`` section is a pure
@@ -189,19 +189,8 @@ def _chaos_section(registry: MetricsRegistry) -> dict[str, object]:
 
 
 def _faults_section(registry: MetricsRegistry) -> dict[str, object]:
-    """Fault-injection digest: events applied and degraded exposure."""
-    events = _labelled_totals(registry, "fault.events", "kind")
+    """Fault digest: failure sets the availability analysis evaluated."""
     return {
-        "runs": _labelled_totals(registry, "fault.runs", "backend"),
-        "fail_events": events.get("fail", 0),
-        "repair_events": events.get("repair", 0),
-        "degraded_cycles": int(
-            registry.counter_total("fault.degraded_cycles")
-        ),
-        "blackout_cycles": int(
-            registry.counter_total("fault.blackout_cycles")
-        ),
-        "resubmissions": int(registry.counter_total("fault.resubmissions")),
         "availability_sets": _labelled_totals(
             registry, "availability.failure_sets", "method"
         ),

@@ -45,7 +45,9 @@ The equivalence test suite pins all of this down.
 Use it through ``MultiprocessorSimulator(..., backend="vectorized")`` or
 ``simulate_bandwidth(..., backend="vectorized")``; the default
 ``backend="auto"`` selects it automatically whenever the workload and
-topology are supported.
+topology are supported.  Fault-degraded topologies
+(:class:`~repro.faults.injection.DegradedNetwork`) have no stage-two
+assigner here, so ``"auto"`` runs them on the loop backend.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ __all__ = [
     "run_vectorized",
     "check_batch_invariants",
     "vectorization_unsupported_reason",
-    "degraded_assignment_unsupported_reason",
-    "assign_degraded",
 ]
 
 #: Cycles resolved per vectorized chunk.  Bounds peak memory to
@@ -348,120 +348,6 @@ _ASSIGNERS = (
 
 #: The schemes with a vectorized stage two (and a served-count rule).
 _SCHEMES = tuple(network_type for network_type, _ in _ASSIGNERS)
-
-
-# ---------------------------------------------------------------------------
-# Degraded stage two: failed-bus variants of the structured assigners
-# ---------------------------------------------------------------------------
-#
-# Under the drop-blocked assumption the loop backend arbitrates degraded
-# topologies with the optimal matching policy, and for full / partial /
-# single schemes the maximum matching size has a closed structure the
-# batch backend can exploit: a full scheme serves min(alive buses,
-# requested modules); a partial scheme does so independently per group;
-# a single scheme serves one requested module per *alive* bus.  K-class
-# failures break the nested-connectivity structure, so degraded K-class
-# runs stay on the loop backend.
-
-
-def degraded_assignment_unsupported_reason(
-    network: MultipleBusNetwork,
-) -> str | None:
-    """Why failed-bus stage two cannot run vectorized for ``network``.
-
-    ``network`` is the *healthy base* topology; returns ``None`` when
-    :func:`assign_degraded` supports it.
-    """
-    if isinstance(network, CrossbarNetwork):
-        return "crossbars fail by crosspoint, not by bus"
-    if isinstance(network, KClassPartialBusNetwork):
-        return (
-            "degraded K-class networks need the matching arbiter "
-            "(failures break the nested-connectivity structure)"
-        )
-    if not isinstance(
-        network,
-        (PartialBusNetwork, SingleBusMemoryNetwork, FullBusMemoryNetwork),
-    ):
-        return (
-            f"scheme {network.scheme!r} has no vectorized degraded "
-            "stage-two arbiter"
-        )
-    return None
-
-
-def _assign_degraded_full(
-    network: FullBusMemoryNetwork,
-    alive: np.ndarray,
-    requested: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Full scheme with failures: ``len(alive)``-out-of-``M``."""
-    n_cycles = requested.shape[0]
-    keys = rng.random(requested.shape)
-    local = _top_requested(requested, keys, alive.size)
-    grant = np.full((n_cycles, network.n_buses), -1, dtype=np.int64)
-    grant[:, alive] = local
-    return grant
-
-
-def _assign_degraded_partial(
-    network: PartialBusNetwork,
-    alive: np.ndarray,
-    requested: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Partial scheme with failures: per group, the surviving buses."""
-    n_cycles = requested.shape[0]
-    mg = network.modules_per_group
-    bg = network.buses_per_group
-    keys = rng.random(requested.shape)
-    grant = np.full((n_cycles, network.n_buses), -1, dtype=np.int64)
-    for group in range(network.n_groups):
-        group_alive = alive[
-            (alive >= group * bg) & (alive < (group + 1) * bg)
-        ]
-        if group_alive.size == 0:
-            continue
-        local = _top_requested(
-            requested[:, group * mg : (group + 1) * mg],
-            keys[:, group * mg : (group + 1) * mg],
-            group_alive.size,
-        )
-        grant[:, group_alive] = np.where(local >= 0, local + group * mg, -1)
-    return grant
-
-
-def assign_degraded(
-    network: MultipleBusNetwork,
-    failed_buses: frozenset[int] | set[int],
-    requested: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized stage two for ``network`` with ``failed_buses`` down.
-
-    ``network`` is the healthy base topology.  The returned grants use
-    only surviving buses and match the loop backend's matching-arbiter
-    grant *counts* exactly (see the section comment above).  Raises
-    :class:`~repro.exceptions.SimulationError` for unsupported schemes.
-    """
-    reason = degraded_assignment_unsupported_reason(network)
-    if reason is not None:
-        raise SimulationError(f"cannot vectorize degraded stage two: {reason}")
-    failed = np.asarray(sorted(failed_buses), dtype=np.int64)
-    alive = np.setdiff1d(
-        np.arange(network.n_buses, dtype=np.int64), failed
-    )
-    if alive.size == 0:
-        raise SimulationError("no alive buses; handle blackouts upstream")
-    if isinstance(network, SingleBusMemoryNetwork):
-        grant = _assign_single(network, requested, rng)
-        if failed.size:
-            grant[:, failed] = -1
-        return grant
-    if isinstance(network, PartialBusNetwork):
-        return _assign_degraded_partial(network, alive, requested, rng)
-    return _assign_degraded_full(network, alive, requested, rng)
 
 
 def _assigner_for(network: MultipleBusNetwork):

@@ -266,6 +266,18 @@ def normalize_generator_spec(spec) -> dict:
     return normalized
 
 
+class _CanonicalSpec(tuple):
+    """A canonical spec tuple that keeps the validated dict it came from.
+
+    Equality and hashing are the plain tuple's.  Only
+    :func:`canonical_generator_spec` makes one, from a spec that passed
+    :func:`normalize_generator_spec`, so :func:`generate_structure` can
+    build from :attr:`normalized` without validating the spec again.
+    """
+
+    normalized: dict
+
+
 def canonical_generator_spec(spec) -> tuple:
     """Hashable canonical form: normalized, sorted tuple-of-pairs.
 
@@ -280,7 +292,11 @@ def canonical_generator_spec(spec) -> tuple:
             return tuple(freeze(item) for item in value)
         return value
 
-    return tuple(sorted((key, freeze(value)) for key, value in normalized.items()))
+    canonical = _CanonicalSpec(
+        sorted((key, freeze(value)) for key, value in normalized.items())
+    )
+    canonical.normalized = normalized
+    return canonical
 
 
 def _rng_for(spec: dict, n_processors: int, n_memories: int, n_buses: int) -> np.random.Generator:
@@ -451,7 +467,10 @@ def generate_structure(spec, n_processors: int, n_memories: int, n_buses: int) -
     malformed or infeasible at these dimensions (e.g. a B-pinning kind at
     a different bus count).
     """
-    normalized = normalize_generator_spec(spec)
+    if isinstance(spec, _CanonicalSpec):
+        normalized = spec.normalized
+    else:
+        normalized = normalize_generator_spec(spec)
     n = _strict_int(n_processors, "number of processors", 1)
     m = _strict_int(n_memories, "number of memory modules", 1)
     b = _strict_int(n_buses, "number of buses", 1)

@@ -255,6 +255,28 @@ class TestSchemeBusProfile:
                 "full", 8, 8, [2], UniformRequestModel(4, 4)
             )
 
+    def test_crossbar_tenure_reads_module_probabilities_once(
+        self, monkeypatch
+    ):
+        from repro.core.hierarchy import paper_two_level_model
+        from repro.core.priority import crossbar_tenure_bandwidth
+
+        model = paper_two_level_model(16, rate=0.4)
+        xs = model.module_request_probabilities()
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return xs
+
+        monkeypatch.setattr(model, "module_request_probabilities", counted)
+        profile = scheme_bus_profile("crossbar", 16, 16, [8], model, tenure=2.5)
+        assert len(calls) == 1
+        assert profile.values == {
+            8: crossbar_tenure_bandwidth([float(v) for v in xs], 2.5)
+        }
+        assert profile.skipped == []
+
     def test_skips_carry_reasons(self):
         from repro.core.request_models import UniformRequestModel
 

@@ -1,11 +1,10 @@
-"""Property-based tests of the GridSlice algebra (Hypothesis).
+"""Property-based tests of GridSlice (Hypothesis).
 
-The algebra is a thin, law-abiding wrapper over frozensets of flat
-indices plus a canonical string codec; these properties pin exactly the
-invariants the fabric relies on: ``parse(canonical(s)) == s`` for every
-slice (shard addressing survives the wire), the set operations agree
-with Python's set semantics (retry bookkeeping), and ``split(n)`` is an
-exact balanced partition (no cell lost or duplicated by sharding).
+A slice is a frozenset of flat indices plus a canonical string codec;
+these properties pin exactly the invariants the fabric relies on:
+``parse(canonical(s)) == s`` for every slice (shard addressing survives
+the wire) and ``split(n)`` is an exact balanced partition (no cell lost
+or duplicated by sharding).
 """
 
 import pytest
@@ -61,20 +60,15 @@ def grids(draw):
 
 
 @st.composite
-def grid_and_indices(draw, n_sets=1):
+def grid_and_indices(draw):
     grid = draw(grids())
-    sets = [
-        frozenset(
-            draw(
-                st.sets(
-                    st.integers(min_value=0, max_value=grid.size - 1),
-                    max_size=grid.size,
-                )
-            )
+    indices = draw(
+        st.sets(
+            st.integers(min_value=0, max_value=grid.size - 1),
+            max_size=grid.size,
         )
-        for _ in range(n_sets)
-    ]
-    return (grid, *sets)
+    )
+    return grid, frozenset(indices)
 
 
 # -- the codec --------------------------------------------------------
@@ -100,41 +94,6 @@ def test_canonical_is_a_pure_function_of_the_set(data):
 def test_keywords(grid):
     assert GridSlice.full(grid).canonical() == "all"
     assert GridSlice.empty(grid).canonical() == "empty"
-
-
-# -- the algebra ------------------------------------------------------
-
-
-@given(grid_and_indices(n_sets=2))
-def test_operations_match_set_semantics(data):
-    grid, left, right = data
-    a = GridSlice.from_indices(grid, left)
-    b = GridSlice.from_indices(grid, right)
-    assert (a | b).indices == left | right
-    assert (a & b).indices == left & right
-    assert (a - b).indices == left - right
-
-
-@given(grid_and_indices(n_sets=3))
-def test_algebra_laws(data):
-    grid, x, y, z = data
-    a = GridSlice.from_indices(grid, x)
-    b = GridSlice.from_indices(grid, y)
-    c = GridSlice.from_indices(grid, z)
-    assert a | b == b | a
-    assert a & b == b & a
-    assert (a | b) | c == a | (b | c)
-    assert a & (b | c) == (a & b) | (a & c)
-    assert (a - b) & b == GridSlice.empty(grid)
-    assert (a - b) | (a & b) == a
-
-
-@given(grid_and_indices())
-def test_complement_partitions_the_grid(data):
-    grid, indices = data
-    a = GridSlice.from_indices(grid, indices)
-    assert a | a.complement() == GridSlice.full(grid)
-    assert a & a.complement() == GridSlice.empty(grid)
 
 
 # -- sharding ---------------------------------------------------------

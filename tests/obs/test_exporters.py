@@ -202,27 +202,15 @@ class TestManifest:
 
     def test_faults_section_digests_fault_counters(self):
         registry = MetricsRegistry()
-        registry.increment("fault.runs", backend="loop")
-        registry.increment("fault.events", 3, kind="fail")
-        registry.increment("fault.events", 2, kind="repair")
-        registry.increment("fault.degraded_cycles", 150)
-        registry.increment("fault.blackout_cycles", 10)
-        registry.increment("fault.resubmissions", 42)
         registry.increment("availability.failure_sets", 16, method="exact")
+        registry.increment("availability.failure_sets", 3, method="montecarlo")
         manifest = build_manifest(registry)
         assert manifest["faults"] == {
-            "runs": {"loop": 1},
-            "fail_events": 3,
-            "repair_events": 2,
-            "degraded_cycles": 150,
-            "blackout_cycles": 10,
-            "resubmissions": 42,
-            "availability_sets": {"exact": 16},
+            "availability_sets": {"exact": 16, "montecarlo": 3},
         }
 
     def test_quiet_run_has_empty_resilience_and_faults(self):
         manifest = build_manifest(MetricsRegistry())
         assert manifest["resilience"]["total_retries"] == 0
         assert manifest["resilience"]["retries"] == {}
-        assert manifest["faults"]["fail_events"] == 0
-        assert manifest["faults"]["runs"] == {}
+        assert manifest["faults"] == {"availability_sets": {}}

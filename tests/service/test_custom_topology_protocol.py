@@ -204,3 +204,34 @@ def test_infeasible_dimensions_surface_as_skips_not_errors():
     assert sorted(response.values) == [7]
     assert [s["B"] for s in response.skipped] == [5]
     assert response.skipped[0]["reason_code"] == "generator_pins_bus_count"
+
+
+@pytest.mark.parametrize(
+    "payload,sweep",
+    [
+        (VALID, False),
+        ({**VALID, "B": [2, 4, 8]}, True),
+    ],
+)
+def test_cold_custom_request_validates_its_spec_once(
+    monkeypatch, payload, sweep
+):
+    from repro.topology import generators
+
+    calls = []
+    normalize = generators.normalize_generator_spec
+
+    def counted(spec):
+        calls.append(spec)
+        return normalize(spec)
+
+    monkeypatch.setattr(generators, "normalize_generator_spec", counted)
+    engine = QueryEngine()
+
+    async def main():
+        return await engine.execute_payload(payload, sweep=sweep)
+
+    response = asyncio.run(main())
+    engine.close()
+    assert response.source == "computed"
+    assert len(calls) == 1

@@ -127,6 +127,23 @@ def test_canonical_tuple_is_an_accepted_spelling():
     assert left.digest() == right.digest()
 
 
+def test_hand_built_tuples_are_validated_even_when_equal_to_a_canonical_one():
+    canonical = canonical_generator_spec({"kind": "waxman", "seed": 1})
+    plain = tuple(canonical)
+    assert generate_structure(plain, 8, 8, 4).digest() == (
+        generate_structure(canonical, 8, 8, 4).digest()
+    )
+    # ``True == 1`` and they hash alike, so this malformed tuple equals
+    # the canonical one; it must still be rejected as the dict form is.
+    forged = tuple(
+        (key, True if key == "seed" else value) for key, value in canonical
+    )
+    assert forged == canonical
+    for spec in (forged, dict(forged)):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            generate_structure(spec, 8, 8, 4)
+
+
 @pytest.mark.parametrize("kind", sorted(ALL_KINDS - {"matrix"}))
 def test_specs_are_bus_count_free(kind):
     """No sweepable kind encodes B; pinning kinds raise a typed error."""
