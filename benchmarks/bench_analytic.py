@@ -33,8 +33,12 @@ from repro.analysis.evaluate import analytic_bandwidth
 from repro.analysis.sweep import bandwidth_sweep, paper_model_pair
 from repro.core.cache import pmf_cache
 from repro.exceptions import ConfigurationError
-from repro.obs import get_registry, telemetry, telemetry_enabled
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import (
+    NULL_REGISTRY,
+    get_registry,
+    telemetry,
+    telemetry_enabled,
+)
 from repro.obs.spans import _NOOP_SPAN, span
 from repro.topology.factory import build_network
 

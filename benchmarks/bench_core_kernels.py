@@ -13,7 +13,7 @@ from repro.core.hierarchy import paper_two_level_model
 from repro.core.kclasses import bandwidth_kclass
 from repro.core.request_models import UniformRequestModel
 from repro.simulation.engine import MultiprocessorSimulator
-from repro.topology import FullBusMemoryNetwork
+from repro.topology.full import FullBusMemoryNetwork
 
 
 def test_bandwidth_full_large_machine(benchmark):

@@ -37,7 +37,8 @@ from repro.analysis.parallel import (
     parallel_map,
     sweep_cell_specs,
 )
-from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
+from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+from repro.fabric.jobs import FabricJob
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fabric.json"
 

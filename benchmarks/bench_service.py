@@ -37,13 +37,10 @@ from pathlib import Path
 from repro.analysis.evaluate import analytic_bandwidth
 from repro.core.cache import pmf_cache
 from repro.exceptions import AdmissionError
-from repro.obs import telemetry
-from repro.service import (
-    AdmissionController,
-    BandwidthService,
-    QueryEngine,
-    TokenBucket,
-)
+from repro.obs.metrics import telemetry
+from repro.service.admission import AdmissionController, TokenBucket
+from repro.service.engine import QueryEngine
+from repro.service.http import BandwidthService
 from repro.service.protocol import build_model, parse_query
 from repro.topology.factory import build_network
 

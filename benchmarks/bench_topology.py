@@ -16,14 +16,11 @@ from pathlib import Path
 
 from repro.analysis.batch import scheme_bus_profile
 from repro.core.request_models import UniformRequestModel
-from repro.obs import telemetry
-from repro.topology import (
-    build_network,
-    clear_recognition_cache,
-    generate_structure,
-    recognize_cached,
-    structure_of,
-)
+from repro.obs.metrics import telemetry
+from repro.topology.factory import build_network
+from repro.topology.generators import generate_structure
+from repro.topology.recognize import clear_recognition_cache, recognize_cached
+from repro.topology.structure import structure_of
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_topology.json"
 

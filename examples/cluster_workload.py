@@ -17,21 +17,19 @@ Run:  python examples/cluster_workload.py
 
 import numpy as np
 
-from repro import (
-    FullBusMemoryNetwork,
-    MatrixRequestModel,
-    PartialBusNetwork,
-    analytic_bandwidth,
-    render_table,
-    simulate_bandwidth,
-)
-from repro.workloads import (
+from repro.analysis.evaluate import analytic_bandwidth
+from repro.analysis.tables import render_table
+from repro.core.request_models import MatrixRequestModel
+from repro.simulation.engine import simulate_bandwidth
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.workloads.assignment import (
     assign_tasks_locality_aware,
     assign_tasks_round_robin,
-    clustered_task_graph,
     fit_hierarchical_fractions,
     induced_request_model,
 )
+from repro.workloads.task_graph import clustered_task_graph
 
 N_PROCESSORS = 16
 N_TASKS = 64
@@ -83,7 +81,7 @@ def shuffle_task_labels(workload, seed: int):
     """
     import networkx as nx
 
-    from repro.workloads import TaskGraph
+    from repro.workloads.task_graph import TaskGraph
 
     permutation = np.random.default_rng(seed).permutation(workload.n_tasks)
     graph = nx.relabel_nodes(

@@ -10,14 +10,12 @@ tolerance of at least one bus failure.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro import (
-    analytic_bandwidth,
-    build_network,
-    cost_report,
-    paper_two_level_model,
-    render_table,
-)
+from repro.analysis.evaluate import analytic_bandwidth
+from repro.analysis.tables import render_table
+from repro.core.hierarchy import paper_two_level_model
 from repro.exceptions import ConfigurationError
+from repro.topology.cost import cost_report
+from repro.topology.factory import build_network
 
 N = 32
 TARGET_BANDWIDTH = 12.0

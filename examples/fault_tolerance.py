@@ -11,15 +11,15 @@ Quantifies what Table I states qualitatively:
 Run:  python examples/fault_tolerance.py
 """
 
-from repro import (
-    KClassPartialBusNetwork,
-    build_network,
+from repro.analysis.tables import render_table
+from repro.core.hierarchy import paper_two_level_model
+from repro.faults.analysis import (
     degradation_curve,
-    fail_buses,
-    paper_two_level_model,
-    render_table,
     verify_fault_tolerance_degree,
 )
+from repro.faults.injection import fail_buses
+from repro.topology.factory import build_network
+from repro.topology.kclass import KClassPartialBusNetwork
 
 N, B = 16, 8
 

@@ -12,16 +12,14 @@ offers, from cheapest to most faithful:
 Run:  python examples/model_accuracy.py
 """
 
-from repro import (
-    FullBusMemoryNetwork,
-    ResubmissionSimulator,
-    analytic_bandwidth,
-    exact_bandwidth,
-    paper_two_level_model,
-    render_table,
-    simulate_bandwidth,
-    solve_resubmission_equilibrium,
-)
+from repro.analysis.evaluate import analytic_bandwidth
+from repro.analysis.tables import render_table
+from repro.core.exact import exact_bandwidth
+from repro.core.hierarchy import paper_two_level_model
+from repro.core.resubmission import solve_resubmission_equilibrium
+from repro.simulation.engine import simulate_bandwidth
+from repro.simulation.resubmission import ResubmissionSimulator
+from repro.topology.full import FullBusMemoryNetwork
 
 N, B = 12, 6
 

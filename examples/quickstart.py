@@ -8,16 +8,14 @@ closed form against the cycle-level simulator.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    FullBusMemoryNetwork,
-    UniformRequestModel,
-    analytic_bandwidth,
-    compare_schemes,
-    cost_report,
-    paper_two_level_model,
-    render_table,
-    simulate_bandwidth,
-)
+from repro.analysis.compare import compare_schemes
+from repro.analysis.evaluate import analytic_bandwidth
+from repro.analysis.tables import render_table
+from repro.core.hierarchy import paper_two_level_model
+from repro.core.request_models import UniformRequestModel
+from repro.simulation.engine import simulate_bandwidth
+from repro.topology.cost import cost_report
+from repro.topology.full import FullBusMemoryNetwork
 
 
 def main() -> None:

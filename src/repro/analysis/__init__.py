@@ -1,77 +1,1 @@
 """Comparison, sweep and rendering utilities over the core analytics."""
-
-from repro.analysis.batch import (
-    BusProfile,
-    GridCell,
-    PriorityProfile,
-    SkippedCell,
-    bandwidth_full_batch,
-    bandwidth_kclass_batch,
-    bandwidth_partial_batch,
-    bandwidth_single_batch,
-    binomial_pmf_grid,
-    evaluate_cells,
-    priority_class_profile,
-    scheme_bus_profile,
-    tail_excess_all_buses,
-    valid_bus_counts,
-)
-from repro.analysis.capacity import (
-    bus_utilization_profile,
-    min_buses_for_bandwidth,
-    min_buses_for_crossbar_fraction,
-    rate_for_crossbar_fraction,
-)
-from repro.analysis.compare import SchemeComparison, compare_schemes
-from repro.analysis.evaluate import analytic_bandwidth
-from repro.analysis.parallel import (
-    ResultCache,
-    parallel_map,
-    simulated_bandwidth_sweep,
-    spawn_seeds,
-)
-from repro.analysis.sweep import (
-    SweepResult,
-    bandwidth_sweep,
-    bandwidth_sweep_with_skips,
-    bus_count_sweep,
-    bus_count_sweep_with_skips,
-    paper_model_pair,
-)
-from repro.analysis.tables import render_matrix, render_table
-
-__all__ = [
-    "analytic_bandwidth",
-    "bandwidth_sweep",
-    "bandwidth_sweep_with_skips",
-    "bus_count_sweep",
-    "bus_count_sweep_with_skips",
-    "SweepResult",
-    "paper_model_pair",
-    "simulated_bandwidth_sweep",
-    "parallel_map",
-    "spawn_seeds",
-    "ResultCache",
-    "compare_schemes",
-    "SchemeComparison",
-    "render_table",
-    "render_matrix",
-    "min_buses_for_bandwidth",
-    "min_buses_for_crossbar_fraction",
-    "rate_for_crossbar_fraction",
-    "bus_utilization_profile",
-    "tail_excess_all_buses",
-    "binomial_pmf_grid",
-    "bandwidth_full_batch",
-    "bandwidth_partial_batch",
-    "bandwidth_single_batch",
-    "bandwidth_kclass_batch",
-    "scheme_bus_profile",
-    "PriorityProfile",
-    "priority_class_profile",
-    "valid_bus_counts",
-    "BusProfile",
-    "SkippedCell",
-    "GridCell",
-    "evaluate_cells",
-]

@@ -55,8 +55,8 @@ def analytic_bandwidth(
     heterogeneous generalizations otherwise (not available for K classes,
     whose heterogeneous form is per-class — pass class-uniform patterns).
 
-    >>> from repro.topology import FullBusMemoryNetwork
-    >>> from repro.core import UniformRequestModel
+    >>> from repro.topology.full import FullBusMemoryNetwork
+    >>> from repro.core.request_models import UniformRequestModel
     >>> round(analytic_bandwidth(FullBusMemoryNetwork(8, 8, 4),
     ...                          UniformRequestModel(8, 8)), 2)
     3.87

@@ -7,15 +7,17 @@ those grids reproducible under any executor:
 
 * **Deterministic per-cell seeds** — every sweep spawns one
   :class:`numpy.random.SeedSequence` child per grid cell *by cell index*
-  (:func:`spawn_seeds`), before any work is dispatched.  Spawning is a
-  pure function of the root seed, so a serial run, a 4-worker fabric
-  run (:mod:`repro.fabric`) or a rerun on a different machine produce
-  bit-identical records no matter how cells are scheduled.
+  (:func:`~repro.simulation.seeds.spawn_seeds`), before any work is
+  dispatched.  Spawning is a pure function of the root seed, so a
+  serial run, a 4-worker fabric run (:mod:`repro.fabric`) or a rerun on
+  a different machine produce bit-identical records no matter how cells
+  are scheduled.
 * **Serial executor** — :func:`parallel_map` runs a worker over the
   cells in-process, preserving input order.  It is the reference the
   multi-process fabric is checked against; grids that need more than
-  one process go through :func:`repro.fabric.fabric_simulated_sweep`
-  or a :class:`~repro.fabric.FabricCoordinator` job.
+  one process go through
+  :func:`repro.fabric.coordinator.fabric_simulated_sweep` or a
+  :class:`~repro.fabric.coordinator.FabricCoordinator` job.
 * **Keyed on-disk cache** — :class:`ResultCache` stores each cell's
   JSON record under a SHA-256 key of its full parameterization, so
   repeated table builds skip completed cells and only compute what
@@ -57,7 +59,6 @@ from repro.topology.factory import build_network, check_scheme_kwargs
 from repro.workloads.generator import ModelRequestGenerator
 
 __all__ = [
-    "spawn_seeds",
     "seed_fingerprint",
     "ResultCache",
     "parallel_map",
@@ -579,8 +580,8 @@ def simulated_bandwidth_sweep(
     own :class:`~numpy.random.SeedSequence` child spawned by cell index
     from ``seed`` — records are identical for cache hits vs
     recomputation, across retries when a ``retry_policy`` is set, and
-    to :func:`repro.fabric.fabric_simulated_sweep` on any number of
-    worker processes.
+    to :func:`repro.fabric.coordinator.fabric_simulated_sweep` on any
+    number of worker processes.
     """
     cells = sweep_cell_specs(
         scheme,

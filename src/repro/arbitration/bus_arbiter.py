@@ -22,6 +22,9 @@ priority backends share the *same* policy objects and agree bit-for-bit.
 With one class and every bus free, each policy grants exactly as many
 requests to exactly the same bus positions as its baseline counterpart,
 which is what the degenerate differential tests pin.
+
+:func:`assignment_for` picks the paper's policy for a topology and
+:func:`priority_assignment_for` its criticality-aware counterpart.
 """
 
 from __future__ import annotations
@@ -32,8 +35,16 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.arbitration.base import BusAssignmentPolicy
+from repro.arbitration.kclass_assignment import KClassBusAssignment
 from repro.core.priority import ArbitrationSpec
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.network import MultipleBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
+from repro.topology.structure import StructureNetwork
 
 __all__ = [
     "RoundRobinBusAssignment",
@@ -48,6 +59,8 @@ __all__ = [
     "PriorityGroupedAssignment",
     "PrioritySingleAssignment",
     "PriorityKClassAssignment",
+    "assignment_for",
+    "priority_assignment_for",
 ]
 
 
@@ -614,3 +627,67 @@ class PriorityKClassAssignment(PriorityBusPolicy):
         for scheduler in self._schedulers:
             scheduler.reset()
         self._bus_pointers = [0] * self._n_buses
+
+
+def assignment_for(network: MultipleBusNetwork) -> BusAssignmentPolicy:
+    """Return the paper's stage-two policy for a given topology.
+
+    * crossbar -> no bus contention,
+    * full -> round-robin ``B``-out-of-``M``,
+    * partial -> per-group round-robin,
+    * single -> per-bus round-robin,
+    * K classes -> the two-step procedure of Lang et al. [10],
+    * custom structures -> memoized maximum matching,
+    * anything else (e.g. fault-degraded topologies) -> maximum matching.
+    """
+    if isinstance(network, StructureNetwork):
+        return StructureMatchingAssignment(network.memory_bus_matrix())
+    if isinstance(network, CrossbarNetwork):
+        return CrossbarAssignment(network.n_memories, network.n_buses)
+    if isinstance(network, KClassPartialBusNetwork):
+        return KClassBusAssignment(network.class_of_module, network.n_buses)
+    if isinstance(network, PartialBusNetwork):
+        return GroupedBusAssignment(
+            network.n_memories, network.n_buses, network.n_groups
+        )
+    if isinstance(network, SingleBusMemoryNetwork):
+        return SingleBusAssignment(network.bus_of_module, network.n_buses)
+    if isinstance(network, FullBusMemoryNetwork):
+        return RoundRobinBusAssignment(network.n_memories, network.n_buses)
+    return MatchingBusAssignment(network.memory_bus_matrix())
+
+
+def priority_assignment_for(
+    network: MultipleBusNetwork, spec: ArbitrationSpec
+) -> PriorityBusPolicy:
+    """Return the criticality-aware stage-two policy for a topology.
+
+    Mirrors :func:`assignment_for`; crossbars share the full-connection
+    policy since every requested module has its own path.  Topologies
+    without a priority counterpart (e.g. fault-degraded matchings)
+    raise :class:`~repro.exceptions.SimulationError`.
+    """
+    if isinstance(network, CrossbarNetwork):
+        return PriorityFullAssignment(
+            network.n_memories, network.n_buses, spec
+        )
+    if isinstance(network, KClassPartialBusNetwork):
+        return PriorityKClassAssignment(
+            network.class_of_module, network.n_buses, spec
+        )
+    if isinstance(network, PartialBusNetwork):
+        return PriorityGroupedAssignment(
+            network.n_memories, network.n_buses, network.n_groups, spec
+        )
+    if isinstance(network, SingleBusMemoryNetwork):
+        return PrioritySingleAssignment(
+            network.bus_of_module, network.n_buses, spec
+        )
+    if isinstance(network, FullBusMemoryNetwork):
+        return PriorityFullAssignment(
+            network.n_memories, network.n_buses, spec
+        )
+    raise SimulationError(
+        "priority arbitration is not defined for "
+        f"{type(network).__name__}"
+    )

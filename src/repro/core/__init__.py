@@ -4,84 +4,3 @@ This subpackage implements the paper's primary contribution — the
 hierarchical requesting model and the effective-memory-bandwidth closed
 forms for every bus-memory connection scheme (eqs. 1-12).
 """
-
-from repro.core.bandwidth import (
-    bandwidth_crossbar,
-    bandwidth_crossbar_heterogeneous,
-    bandwidth_full,
-    bandwidth_full_heterogeneous,
-    bandwidth_partial,
-    bandwidth_partial_heterogeneous,
-    bandwidth_single,
-    bandwidth_single_heterogeneous,
-    request_count_pmf,
-)
-from repro.core.binomial import (
-    binomial_pmf,
-    expected_capped,
-    poisson_binomial_pmf,
-    tail_excess,
-)
-from repro.core.cache import (
-    CacheInfo,
-    PmfCache,
-    cached_binomial_pmf,
-    cached_poisson_binomial_pmf,
-    pmf_cache,
-)
-from repro.core.exact import (
-    distinct_request_pmf,
-    exact_bandwidth,
-    requested_set_distribution,
-)
-from repro.core.hierarchy import HierarchicalRequestModel, paper_two_level_model
-from repro.core.kclasses import (
-    bandwidth_kclass,
-    bus_busy_probabilities,
-    class_request_pmfs,
-)
-from repro.core.request_models import (
-    FavoriteMemoryRequestModel,
-    MatrixRequestModel,
-    RequestModel,
-    UniformRequestModel,
-)
-from repro.core.resubmission import (
-    ResubmissionEquilibrium,
-    solve_resubmission_equilibrium,
-)
-
-__all__ = [
-    "RequestModel",
-    "MatrixRequestModel",
-    "UniformRequestModel",
-    "FavoriteMemoryRequestModel",
-    "HierarchicalRequestModel",
-    "paper_two_level_model",
-    "bandwidth_full",
-    "bandwidth_full_heterogeneous",
-    "bandwidth_single",
-    "bandwidth_single_heterogeneous",
-    "bandwidth_partial",
-    "bandwidth_partial_heterogeneous",
-    "bandwidth_kclass",
-    "bandwidth_crossbar",
-    "bandwidth_crossbar_heterogeneous",
-    "bus_busy_probabilities",
-    "class_request_pmfs",
-    "request_count_pmf",
-    "binomial_pmf",
-    "poisson_binomial_pmf",
-    "expected_capped",
-    "tail_excess",
-    "CacheInfo",
-    "PmfCache",
-    "pmf_cache",
-    "cached_binomial_pmf",
-    "cached_poisson_binomial_pmf",
-    "ResubmissionEquilibrium",
-    "solve_resubmission_equilibrium",
-    "exact_bandwidth",
-    "distinct_request_pmf",
-    "requested_set_distribution",
-]

@@ -304,8 +304,8 @@ def exact_bandwidth(network: MultipleBusNetwork, model: RequestModel) -> float:
     distribution is enumerated, and each scheme's arbitration serves a
     deterministic count per set.
 
-    >>> from repro.topology import FullBusMemoryNetwork
-    >>> from repro.core import UniformRequestModel
+    >>> from repro.topology.full import FullBusMemoryNetwork
+    >>> from repro.core.request_models import UniformRequestModel
     >>> net = FullBusMemoryNetwork(8, 8, 8)     # B >= M: no contention,
     >>> model = UniformRequestModel(8, 8)       # approximation is exact
     >>> round(exact_bandwidth(net, model), 4)

@@ -81,7 +81,7 @@ class AdmissionError(ServiceError):
 
     Raised by the token-bucket/queue-depth admission controller.  Carries
     a deterministic ``retry_after_seconds`` hint that clients can feed to
-    :meth:`repro.resilience.RetryPolicy.delay_honoring` (and that the
+    :meth:`repro.resilience.retry.RetryPolicy.delay_honoring` (and that the
     HTTP front-end surfaces as a ``Retry-After`` header on the 429
     envelope), plus the shed ``reason`` (``"rate"`` or ``"queue_depth"``).
     """
@@ -152,7 +152,7 @@ class RetryExhaustedError(ReproError):
 
     Raised by the serial sweep executor
     (:func:`repro.analysis.parallel.parallel_map` with a
-    :class:`~repro.resilience.RetryPolicy`) and by the fabric
+    :class:`~repro.resilience.retry.RetryPolicy`) and by the fabric
     coordinator once ``max_attempts`` is spent.
     The final underlying failure is chained as ``__cause__`` and also
     kept in :attr:`last_error`.

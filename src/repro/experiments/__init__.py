@@ -2,81 +2,8 @@
 
 Registry::
 
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments.runner import EXPERIMENTS
     result = EXPERIMENTS["table2"]()
     print(result.rendered)
     print(result.summary())
 """
-
-from __future__ import annotations
-
-import inspect
-from collections.abc import Callable
-
-from repro.exceptions import ExperimentError
-from repro.experiments import (
-    ablation,
-    approximation,
-    arbitration,
-    availability,
-    claims,
-    figures,
-    nxm,
-    resubmission,
-    structures,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    validation,
-)
-from repro.experiments.base import CellComparison, ExperimentResult
-
-__all__ = [
-    "EXPERIMENTS",
-    "run_experiment",
-    "ExperimentResult",
-    "CellComparison",
-]
-
-EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "table5": table5.run,
-    "table6": table6.run,
-    "figures": figures.run,
-    "claims": claims.run,
-    "validation": validation.run,
-    "ablation": ablation.run,
-    "nxm": nxm.run,
-    "resubmission": resubmission.run,
-    "approximation": approximation.run,
-    "availability": availability.run,
-    "arbitration": arbitration.run,
-    "structures": structures.run,
-}
-
-
-def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    """Run one registered experiment by id.
-
-    Keyword arguments not accepted by the experiment's ``run`` function
-    (e.g. ``n_workers`` for purely analytic experiments) are silently
-    dropped, so callers can pass one option set across the registry.
-    Raises :class:`~repro.exceptions.ExperimentError` for unknown ids.
-    """
-    try:
-        runner = EXPERIMENTS[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
-    if kwargs:
-        accepted = inspect.signature(runner).parameters
-        kwargs = {k: v for k, v in kwargs.items() if k in accepted}
-    return runner(**kwargs)

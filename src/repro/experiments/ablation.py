@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.analysis.evaluate import analytic_bandwidth
 from repro.analysis.sweep import paper_model_pair
 from repro.analysis.tables import render_table
-from repro.arbitration import MatchingBusAssignment
+from repro.arbitration.bus_arbiter import MatchingBusAssignment
 from repro.core.request_models import FavoriteMemoryRequestModel
 from repro.experiments.base import ExperimentResult
 from repro.faults.analysis import degradation_curve

@@ -27,7 +27,7 @@ from repro.analysis.tables import render_table
 from repro.core.priority import DISCIPLINES, ArbitrationSpec
 from repro.core.request_models import UniformRequestModel
 from repro.experiments.base import ExperimentResult
-from repro.simulation import MultiprocessorSimulator
+from repro.simulation.engine import MultiprocessorSimulator
 from repro.topology.factory import build_network
 
 __all__ = ["run"]

@@ -16,12 +16,13 @@ are identical serially and across any number of fabric workers.
 from __future__ import annotations
 
 from repro.analysis.evaluate import analytic_bandwidth
-from repro.analysis.parallel import parallel_map, spawn_seeds
+from repro.analysis.parallel import parallel_map
 from repro.analysis.tables import render_table
 from repro.core.hierarchy import paper_two_level_model
 from repro.core.resubmission import solve_resubmission_equilibrium
 from repro.experiments.base import ExperimentResult
 from repro.simulation.resubmission import ResubmissionSimulator
+from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network
 
 __all__ = ["run", "resubmission_cells"]
@@ -83,7 +84,8 @@ def run(
     worker processes; records are bit-identical to the serial run.
     """
     if n_workers is not None and n_workers > 1:
-        from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
+        from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+        from repro.fabric.jobs import FabricJob
 
         job = FabricJob(
             kind="resubmission",

@@ -4,6 +4,9 @@ Prints each experiment's rendered table and its reproduction verdict,
 and exits non-zero if any compared cell misses the paper's printed value
 — so the whole reproduction doubles as a shell-level check.
 
+:data:`EXPERIMENTS` maps each experiment id to its ``run`` function and
+:func:`run_experiment` runs one by id.
+
 With ``--telemetry PATH`` every experiment runs under a fresh telemetry
 registry and writes three artifacts to ``PATH/<experiment_id>/``:
 
@@ -18,21 +21,77 @@ registry and writes three artifacts to ``PATH/<experiment_id>/``:
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS, ExperimentResult, run_experiment
-from repro.obs import (
-    disable_telemetry,
-    enable_telemetry,
-    span,
-    write_events_jsonl,
-    write_manifest,
-    write_prometheus,
+from repro.exceptions import ExperimentError
+from repro.experiments import (
+    ablation,
+    approximation,
+    arbitration,
+    availability,
+    claims,
+    figures,
+    nxm,
+    resubmission,
+    structures,
+    table1,
+    table2,
+    table3,
+    table4,
+    table5,
+    table6,
+    validation,
 )
+from repro.experiments.base import ExperimentResult
+from repro.obs.exporters import write_events_jsonl, write_prometheus
+from repro.obs.manifest import write_manifest
+from repro.obs.metrics import disable_telemetry, enable_telemetry
+from repro.obs.spans import span
 
-__all__ = ["main"]
+__all__ = ["EXPERIMENTS", "run_experiment", "main"]
+
+EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
+    "table1": table1.run,
+    "table2": table2.run,
+    "table3": table3.run,
+    "table4": table4.run,
+    "table5": table5.run,
+    "table6": table6.run,
+    "figures": figures.run,
+    "claims": claims.run,
+    "validation": validation.run,
+    "ablation": ablation.run,
+    "nxm": nxm.run,
+    "resubmission": resubmission.run,
+    "approximation": approximation.run,
+    "availability": availability.run,
+    "arbitration": arbitration.run,
+    "structures": structures.run,
+}
+
+
+def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
+    """Run one registered experiment by id.
+
+    Keyword arguments not accepted by the experiment's ``run`` function
+    (e.g. ``n_workers`` for purely analytic experiments) are silently
+    dropped, so callers can pass one option set across the registry.
+    Raises :class:`~repro.exceptions.ExperimentError` for unknown ids.
+    """
+    try:
+        runner = EXPERIMENTS[experiment_id]
+    except KeyError:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise ExperimentError(
+            f"unknown experiment {experiment_id!r}; known: {known}"
+        ) from None
+    if kwargs:
+        accepted = inspect.signature(runner).parameters
+        kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+    return runner(**kwargs)
 
 
 def _run_with_telemetry(

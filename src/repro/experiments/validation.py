@@ -30,12 +30,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.evaluate import analytic_bandwidth
-from repro.analysis.parallel import parallel_map, spawn_seeds
+from repro.analysis.parallel import parallel_map
 from repro.analysis.sweep import paper_model_pair
 from repro.analysis.tables import render_table
 from repro.core.request_models import MatrixRequestModel
 from repro.experiments.base import ExperimentResult
 from repro.simulation.engine import MultiprocessorSimulator
+from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network
 
 __all__ = ["run", "independence_workload", "validation_cells"]
@@ -134,7 +135,8 @@ def run(
     are bit-identical either way.
     """
     if n_workers is not None and n_workers > 1:
-        from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
+        from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+        from repro.fabric.jobs import FabricJob
 
         job = FabricJob(
             kind="validation",

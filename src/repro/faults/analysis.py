@@ -146,8 +146,8 @@ def simulated_degraded_bandwidth(
     """Monte-Carlo bandwidth after failing specific buses.
 
     The degraded topology is arbitrated by the optimal matching policy
-    (see :class:`repro.arbitration.MatchingBusAssignment`), so the result
-    upper-bounds what any hardware arbiter could retain.
+    (see :class:`repro.arbitration.bus_arbiter.MatchingBusAssignment`),
+    so the result upper-bounds what any hardware arbiter could retain.
     """
     degraded = fail_buses(network, failed_buses)
     simulator = MultiprocessorSimulator(degraded, model, seed=seed)

@@ -9,68 +9,20 @@ JSON-lines event log, a Prometheus text dump, or a diffable per-run
 ``manifest.json``.
 
 Telemetry is disabled by default and *zero-overhead when disabled*: the
-installed registry is a shared no-op and :func:`span` returns a shared
-no-op context manager.  Enable it per run::
+installed registry is a shared no-op and
+:func:`~repro.obs.spans.span` returns a shared no-op context manager.
+Enable it per run::
 
-    from repro.obs import telemetry, span, write_manifest
+    from repro.obs.manifest import write_manifest
+    from repro.obs.metrics import telemetry
+    from repro.obs.spans import span
 
     with telemetry() as registry:
         with span("my.run", scheme="partial"):
             ...  # any repro work: sweeps, simulations, experiments
         write_manifest(registry, "out/manifest.json", run={"name": "demo"})
 
-or process-wide with :func:`enable_telemetry` /
-:func:`disable_telemetry` (the experiment CLI's ``--telemetry PATH``
-does exactly this around each experiment).
+or process-wide with :func:`~repro.obs.metrics.enable_telemetry` /
+:func:`~repro.obs.metrics.disable_telemetry` (the experiment CLI's
+``--telemetry PATH`` does exactly this around each experiment).
 """
-
-from repro.obs.exporters import (
-    events_jsonl,
-    prometheus_text,
-    write_events_jsonl,
-    write_prometheus,
-)
-from repro.obs.manifest import (
-    build_manifest,
-    skipped_cell_counts,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    HistogramSummary,
-    MetricsRegistry,
-    NullRegistry,
-    disable_telemetry,
-    enable_telemetry,
-    get_registry,
-    set_registry,
-    telemetry,
-    telemetry_enabled,
-)
-from repro.obs.spans import current_span_path, span
-
-__all__ = [
-    # registry
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "HistogramSummary",
-    "get_registry",
-    "set_registry",
-    "enable_telemetry",
-    "disable_telemetry",
-    "telemetry_enabled",
-    "telemetry",
-    # spans
-    "span",
-    "current_span_path",
-    # exporters
-    "events_jsonl",
-    "write_events_jsonl",
-    "prometheus_text",
-    "write_prometheus",
-    # manifests
-    "build_manifest",
-    "write_manifest",
-    "skipped_cell_counts",
-]

@@ -284,7 +284,7 @@ def telemetry(
 ) -> Iterator[MetricsRegistry]:
     """Enable telemetry for a ``with`` block, restoring the prior sink.
 
-    >>> from repro.obs import telemetry
+    >>> from repro.obs.metrics import telemetry
     >>> with telemetry() as registry:
     ...     registry.increment("demo.count")
     >>> registry.counter_value("demo.count")

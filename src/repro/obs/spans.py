@@ -119,7 +119,8 @@ class _Span:
 def span(name: str, **attributes) -> "_Span | _NoopSpan":
     """Open a named, attributed, nested timed scope.
 
-    >>> from repro.obs import telemetry, span
+    >>> from repro.obs.metrics import telemetry
+    >>> from repro.obs.spans import span
     >>> with telemetry() as registry:
     ...     with span("outer"):
     ...         with span("inner", B=4):

@@ -14,31 +14,3 @@ Four cooperating mechanisms:
 * :mod:`~repro.resilience.chaos` — a seeded, deterministic
   fault-injection harness for exercising all of the above.
 """
-
-from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
-from repro.resilience.brownout import BrownoutGovernor, BrownoutPolicy
-from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
-from repro.resilience.deadline import (
-    DEADLINE_HEADER,
-    ENV_DEADLINE_MS,
-    Deadline,
-    deadline_from_env,
-    parse_deadline_header,
-)
-from repro.resilience.retry import RetryPolicy
-
-__all__ = [
-    "RetryPolicy",
-    "Deadline",
-    "DEADLINE_HEADER",
-    "ENV_DEADLINE_MS",
-    "deadline_from_env",
-    "parse_deadline_header",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "BrownoutGovernor",
-    "BrownoutPolicy",
-    "FaultPlan",
-    "FaultRule",
-    "chaos_plan",
-]

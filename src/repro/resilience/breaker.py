@@ -15,7 +15,7 @@ piled-up timeouts:
   through.  Success closes the breaker and clears the window; failure
   re-opens it with an exponentially longer probe delay.
 
-Determinism contract: like :class:`repro.resilience.RetryPolicy`, the
+Determinism contract: like :class:`repro.resilience.retry.RetryPolicy`, the
 probe delay jitter is *hashed*, not drawn — a pure function of
 ``(breaker name, open count)`` using the same
 ``sha256(f"{token}:{attempt}")`` construction as ``RetryPolicy.delay``.
@@ -114,7 +114,7 @@ class BreakerPolicy:
 
         Deterministic: a pure function of ``(policy, name,
         open_count)``, using the same hashed-jitter construction as
-        :meth:`repro.resilience.RetryPolicy.delay` so breaker probes and
+        :meth:`repro.resilience.retry.RetryPolicy.delay` so breaker probes and
         retry backoffs replay on identical schedules.
         """
         if open_count < 1:

@@ -6,7 +6,7 @@ A :class:`FaultPlan` is a declarative list of :class:`FaultRule`\\ s —
 ``service.engine`` calls by 20ms with probability 0.1".  Whether a rule
 fires is a *pure function* of ``(site, plan seed, nth call at that
 site)`` — the same sha256-hash construction as
-:class:`repro.resilience.RetryPolicy` jitter — so a chaos run replays
+:class:`repro.resilience.retry.RetryPolicy` jitter — so a chaos run replays
 byte-identically: same injection sequence, same breaker transitions,
 same final results.
 

@@ -20,31 +20,3 @@ callers:
   (``/query``, ``/sweep``, ``/healthz``, ``/metrics``) behind the
   ``repro-serve`` console script (:mod:`repro.service.cli`).
 """
-
-from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.batching import BatchWindow
-from repro.service.engine import QueryEngine, QueryResponse
-from repro.service.http import BandwidthService
-from repro.service.protocol import (
-    Query,
-    ServiceLimits,
-    build_model,
-    error_envelope,
-    parse_query,
-    status_for,
-)
-
-__all__ = [
-    "Query",
-    "ServiceLimits",
-    "parse_query",
-    "build_model",
-    "status_for",
-    "error_envelope",
-    "QueryEngine",
-    "QueryResponse",
-    "BatchWindow",
-    "TokenBucket",
-    "AdmissionController",
-    "BandwidthService",
-]

@@ -15,7 +15,7 @@ gates:
 
 Shed requests raise :class:`~repro.exceptions.AdmissionError`; the HTTP
 front-end turns that into a 429 envelope with a ``Retry-After`` header,
-and :meth:`repro.resilience.RetryPolicy.delay_honoring` folds the hint
+and :meth:`repro.resilience.retry.RetryPolicy.delay_honoring` folds the hint
 into client-side backoff.
 """
 

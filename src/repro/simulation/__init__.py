@@ -1,49 +1,1 @@
 """Cycle-level Monte-Carlo simulation of multiple bus multiprocessors."""
-
-from repro.simulation.engine import (
-    MultiprocessorSimulator,
-    derive_streams,
-    simulate_bandwidth,
-)
-from repro.simulation.metrics import (
-    MetricsCollector,
-    SimulationResult,
-    batch_means_ci95,
-    result_from_arrays,
-)
-from repro.simulation.priority import (
-    PrioritySimulationResult,
-    derive_priority_streams,
-    run_priority_loop,
-    run_priority_vectorized,
-)
-from repro.simulation.resubmission import (
-    ResubmissionResult,
-    ResubmissionSimulator,
-)
-from repro.simulation.vectorized import (
-    BatchTrace,
-    check_batch_invariants,
-    run_vectorized,
-    vectorization_unsupported_reason,
-)
-
-__all__ = [
-    "MultiprocessorSimulator",
-    "simulate_bandwidth",
-    "derive_streams",
-    "MetricsCollector",
-    "SimulationResult",
-    "batch_means_ci95",
-    "result_from_arrays",
-    "ResubmissionSimulator",
-    "ResubmissionResult",
-    "PrioritySimulationResult",
-    "derive_priority_streams",
-    "run_priority_loop",
-    "run_priority_vectorized",
-    "BatchTrace",
-    "run_vectorized",
-    "check_batch_invariants",
-    "vectorization_unsupported_reason",
-]

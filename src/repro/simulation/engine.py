@@ -10,7 +10,7 @@ under exactly these rules, simulation and closed form must agree within
 Monte-Carlo noise wherever the analysis is exact — the validation
 experiment (E9) checks precisely that.
 
-Two execution backends share this front end:
+Two execution backends share this front end; ``backend`` picks one:
 
 * ``"loop"`` — the reference implementation: one Python iteration per
   cycle through the arbitration objects of :mod:`repro.arbitration`.
@@ -42,8 +42,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.arbitration import (
-    BusAssignmentPolicy,
+from repro.arbitration.base import BusAssignmentPolicy
+from repro.arbitration.bus_arbiter import (
     assignment_for,
     priority_assignment_for,
 )
@@ -96,7 +96,7 @@ class MultiprocessorSimulator:
     ----------
     network:
         The interconnection topology (any
-        :class:`~repro.topology.MultipleBusNetwork`).
+        :class:`~repro.topology.network.MultipleBusNetwork`).
     workload:
         A :class:`~repro.core.request_models.RequestModel` (wrapped
         automatically) or any
@@ -104,12 +104,12 @@ class MultiprocessorSimulator:
     policy:
         Optional stage-two bus assignment override; defaults to the
         paper's policy for the network's scheme
-        (:func:`repro.arbitration.assignment_for`).  Setting one forces
-        the loop backend.
+        (:func:`repro.arbitration.bus_arbiter.assignment_for`).  Setting
+        one forces the loop backend.
     seed:
         Seed for the simulation's random streams — an int, ``None`` (OS
         entropy) or a :class:`~numpy.random.SeedSequence` (as produced
-        by :func:`repro.analysis.parallel.spawn_seeds` for independent
+        by :func:`repro.simulation.seeds.spawn_seeds` for independent
         sweep cells).
     backend:
         ``"auto"`` (default), ``"loop"`` or ``"vectorized"`` — see the
@@ -440,11 +440,11 @@ def simulate_bandwidth(
        silently correlates their noise.  For independent replications or
        sweep cells, pass ``seed=None`` (OS entropy) or derive one
        :class:`~numpy.random.SeedSequence` per cell with
-       :func:`repro.analysis.parallel.spawn_seeds` — which is exactly
+       :func:`repro.simulation.seeds.spawn_seeds` — which is exactly
        what the parallel sweep executor does.
 
-    >>> from repro.topology import FullBusMemoryNetwork
-    >>> from repro.core import UniformRequestModel
+    >>> from repro.topology.full import FullBusMemoryNetwork
+    >>> from repro.core.request_models import UniformRequestModel
     >>> net = FullBusMemoryNetwork(8, 8, 4)
     >>> res = simulate_bandwidth(net, UniformRequestModel(8, 8), 2000, seed=1)
     >>> 3.0 < res.bandwidth < 4.2

@@ -33,7 +33,10 @@ import math
 
 import numpy as np
 
-from repro.arbitration import PriorityBusPolicy, priority_assignment_for
+from repro.arbitration.bus_arbiter import (
+    PriorityBusPolicy,
+    priority_assignment_for,
+)
 from repro.arbitration.memory_arbiter import (
     resolve_prioritized,
     stage_one_composite,

@@ -14,7 +14,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.arbitration import BusAssignmentPolicy, assignment_for
+from repro.arbitration.base import BusAssignmentPolicy
+from repro.arbitration.bus_arbiter import assignment_for
 from repro.arbitration.memory_arbiter import resolve_memory_contention
 from repro.core.request_models import RequestModel
 from repro.exceptions import SimulationError

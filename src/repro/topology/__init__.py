@@ -1,69 +1,1 @@
 """Network topology descriptions and the Table I cost model."""
-
-from repro.topology.cost import (
-    CostReport,
-    cost_report,
-    expected_connections,
-    performance_cost_ratio,
-    symbolic_table,
-)
-from repro.topology.crossbar import CrossbarNetwork
-from repro.topology.factory import (
-    build_network,
-    equal_class_sizes,
-    paper_figure_networks,
-)
-from repro.topology.full import FullBusMemoryNetwork
-from repro.topology.kclass import KClassPartialBusNetwork
-from repro.topology.network import MultipleBusNetwork
-from repro.topology.generators import (
-    GENERATOR_KINDS,
-    canonical_generator_spec,
-    generate_structure,
-    normalize_generator_spec,
-)
-from repro.topology.partial import PartialBusNetwork
-from repro.topology.recognize import (
-    Recognition,
-    clear_recognition_cache,
-    recognize,
-    recognize_cached,
-)
-from repro.topology.single import SingleBusMemoryNetwork
-from repro.topology.structure import (
-    ConnectionStructure,
-    MatchingOracle,
-    StructureNetwork,
-    maximum_matching,
-    structure_of,
-)
-
-__all__ = [
-    "MultipleBusNetwork",
-    "FullBusMemoryNetwork",
-    "SingleBusMemoryNetwork",
-    "PartialBusNetwork",
-    "KClassPartialBusNetwork",
-    "CrossbarNetwork",
-    "ConnectionStructure",
-    "StructureNetwork",
-    "MatchingOracle",
-    "maximum_matching",
-    "structure_of",
-    "Recognition",
-    "recognize",
-    "recognize_cached",
-    "clear_recognition_cache",
-    "GENERATOR_KINDS",
-    "normalize_generator_spec",
-    "canonical_generator_spec",
-    "generate_structure",
-    "CostReport",
-    "cost_report",
-    "expected_connections",
-    "symbolic_table",
-    "performance_cost_ratio",
-    "build_network",
-    "equal_class_sizes",
-    "paper_figure_networks",
-]

@@ -1,33 +1,1 @@
 """Workload substrate: generators, traces, and task-assignment pipelines."""
-
-from repro.workloads.assignment import (
-    HierarchicalFit,
-    TaskAssignment,
-    assign_tasks_locality_aware,
-    assign_tasks_round_robin,
-    fit_hierarchical_fractions,
-    induced_request_model,
-)
-from repro.workloads.generator import (
-    FixedRequestGenerator,
-    ModelRequestGenerator,
-    RequestGenerator,
-)
-from repro.workloads.task_graph import TaskGraph, clustered_task_graph
-from repro.workloads.traces import RequestTrace, record_trace
-
-__all__ = [
-    "RequestGenerator",
-    "ModelRequestGenerator",
-    "FixedRequestGenerator",
-    "RequestTrace",
-    "record_trace",
-    "TaskGraph",
-    "clustered_task_graph",
-    "TaskAssignment",
-    "assign_tasks_locality_aware",
-    "assign_tasks_round_robin",
-    "induced_request_model",
-    "fit_hierarchical_fractions",
-    "HierarchicalFit",
-]

@@ -16,7 +16,7 @@ from repro.analysis.parallel import (
     sweep_cell_specs,
 )
 from repro.exceptions import ConfigurationError
-from repro.obs import telemetry
+from repro.obs.metrics import telemetry
 
 
 def _entries_on_disk(cache: ResultCache) -> int:

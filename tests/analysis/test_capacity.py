@@ -12,7 +12,7 @@ from repro.analysis.evaluate import analytic_bandwidth
 from repro.core.hierarchy import paper_two_level_model
 from repro.core.request_models import UniformRequestModel
 from repro.exceptions import ConfigurationError
-from repro.topology import FullBusMemoryNetwork
+from repro.topology.full import FullBusMemoryNetwork
 
 
 class TestMinBusesForBandwidth:

@@ -17,13 +17,11 @@ from repro.core.request_models import (
 )
 from repro.exceptions import ConfigurationError, ModelError
 from repro.faults.injection import fail_buses
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 MODEL = UniformRequestModel(8, 8)
 X = MODEL.symmetric_module_probability()

@@ -11,11 +11,11 @@ from repro.analysis.parallel import (
     parallel_map,
     seed_fingerprint,
     simulated_bandwidth_sweep,
-    spawn_seeds,
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments import resubmission, validation
-from repro.fabric import fabric_simulated_sweep
+from repro.fabric.coordinator import fabric_simulated_sweep
+from repro.simulation.seeds import spawn_seeds
 
 CYCLES = 800
 

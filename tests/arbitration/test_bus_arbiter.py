@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arbitration import assignment_for
 from repro.arbitration.bus_arbiter import (
     CrossbarAssignment,
     GroupedBusAssignment,
@@ -15,16 +14,15 @@ from repro.arbitration.bus_arbiter import (
     RandomBusAssignment,
     RoundRobinBusAssignment,
     SingleBusAssignment,
+    assignment_for,
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.faults.injection import fail_buses
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 class TestRoundRobin:

@@ -19,14 +19,12 @@ from repro.core.request_models import (
 )
 from repro.exceptions import ConfigurationError
 from repro.simulation.engine import simulate_bandwidth
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.crossbar import CrossbarNetwork
 from repro.topology.factory import build_network
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 class TestRequestedSetDistribution:

@@ -21,7 +21,7 @@ from repro.core.request_models import (
     FavoriteMemoryRequestModel,
     UniformRequestModel,
 )
-from repro.topology import FullBusMemoryNetwork
+from repro.topology.full import FullBusMemoryNetwork
 
 
 class TestUniformInsideFavorite:

@@ -7,7 +7,7 @@ from repro.core.hierarchy import paper_two_level_model
 from repro.core.request_models import UniformRequestModel
 from repro.core.resubmission import solve_resubmission_equilibrium
 from repro.exceptions import ModelError
-from repro.topology import FullBusMemoryNetwork
+from repro.topology.full import FullBusMemoryNetwork
 
 
 def _solver(network, model):

@@ -7,8 +7,8 @@ tolerance of the paper's two-decimal printing.
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
 from repro.exceptions import ExperimentError
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 
 @pytest.mark.parametrize(

@@ -12,21 +12,21 @@ from pathlib import Path
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.analysis.parallel import (
     _simulated_cell,
     parallel_map,
     sweep_cell_specs,
 )
 from repro.exceptions import ConfigurationError, RetryExhaustedError
-from repro.fabric import (
+from repro.fabric.coordinator import (
     FabricConfig,
     FabricCoordinator,
-    FabricJob,
     FabricLimits,
-    build_job,
     fabric_simulated_sweep,
 )
+from repro.fabric.jobs import FabricJob, build_job
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience.retry import RetryPolicy
 
 SWEEP_KW = dict(

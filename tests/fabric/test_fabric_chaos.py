@@ -10,22 +10,22 @@ the same worker deaths, and the same breaker transitions.
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.analysis.parallel import (
     _simulated_cell,
     parallel_map,
     sweep_cell_specs,
 )
 from repro.exceptions import ConfigurationError, DeadlineExceededError
-from repro.fabric import (
+from repro.fabric.coordinator import (
     FabricConfig,
     FabricCoordinator,
-    FabricJob,
     FabricLimits,
-    build_job,
     fabric_simulated_sweep,
 )
 from repro.fabric.gridslice import GridSlice
+from repro.fabric.jobs import FabricJob, build_job
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience import chaos
 from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
 from repro.resilience.deadline import Deadline

@@ -24,7 +24,8 @@ from repro.analysis.parallel import (
     parallel_map,
     sweep_cell_specs,
 )
-from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
+from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+from repro.fabric.jobs import FabricJob
 from repro.resilience import chaos
 from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
 

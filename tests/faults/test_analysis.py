@@ -11,13 +11,11 @@ from repro.faults.analysis import (
     simulated_degraded_bandwidth,
     verify_fault_tolerance_degree,
 )
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 MODEL8 = UniformRequestModel(8, 8)
 

@@ -8,7 +8,8 @@ the fault-free point.
 
 import pytest
 
-from repro import analytic_bandwidth, paper_two_level_model, telemetry
+from repro.analysis.evaluate import analytic_bandwidth
+from repro.core.hierarchy import paper_two_level_model
 from repro.core.request_models import UniformRequestModel
 from repro.exceptions import FaultError
 from repro.faults.availability import (
@@ -17,6 +18,7 @@ from repro.faults.availability import (
     expected_bandwidth_under_failures,
     scheme_availability_curves,
 )
+from repro.obs.metrics import telemetry
 from repro.topology.factory import build_network
 
 SCHEMES = ("full", "partial", "single", "kclass")

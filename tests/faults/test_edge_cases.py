@@ -9,7 +9,7 @@ regression in any degraded evaluator shows up as a concrete number.
 
 import pytest
 
-from repro import paper_two_level_model
+from repro.core.hierarchy import paper_two_level_model
 from repro.exceptions import FaultError
 from repro.faults.analysis import degradation_curve
 from repro.faults.injection import DegradedNetwork, fail_buses

@@ -5,11 +5,9 @@ import pytest
 
 from repro.exceptions import FaultError
 from repro.faults.injection import DegradedNetwork, fail_buses
-from repro.topology import (
-    FullBusMemoryNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 class TestDegradedNetwork:

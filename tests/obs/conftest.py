@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import NULL_REGISTRY, disable_telemetry, get_registry
+from repro.obs.metrics import NULL_REGISTRY, disable_telemetry, get_registry
 
 
 @pytest.fixture(autouse=True)

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (
-    MetricsRegistry,
-    build_manifest,
+from repro.obs.exporters import (
     events_jsonl,
     prometheus_text,
-    skipped_cell_counts,
     write_events_jsonl,
-    write_manifest,
     write_prometheus,
 )
+from repro.obs.manifest import (
+    build_manifest,
+    skipped_cell_counts,
+    write_manifest,
+)
+from repro.obs.metrics import MetricsRegistry
 
 
 def _sample_registry() -> MetricsRegistry:

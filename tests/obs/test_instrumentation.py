@@ -6,8 +6,8 @@ from repro.analysis.parallel import parallel_map, simulated_bandwidth_sweep
 from repro.analysis.sweep import bandwidth_sweep_with_skips
 from repro.core.cache import pmf_cache
 from repro.core.request_models import UniformRequestModel
-from repro.faults import fail_buses
-from repro.obs import telemetry
+from repro.faults.injection import fail_buses
+from repro.obs.metrics import telemetry
 from repro.simulation.engine import simulate_bandwidth
 from repro.topology.factory import build_network
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs import (
+from repro.obs.metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,

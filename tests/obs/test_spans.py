@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import current_span_path, span, telemetry
-from repro.obs.spans import _NOOP_SPAN
+from repro.obs.metrics import telemetry
+from repro.obs.spans import _NOOP_SPAN, current_span_path, span
 
 
 def test_span_is_noop_while_disabled():

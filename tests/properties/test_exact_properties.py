@@ -6,7 +6,7 @@ per-subset oracles kept here:
 
 * the König–Ore deficiency table of ``_matching_served_per_subset``
   equals, subset by subset, the served count of an independent Kuhn
-  matching (``repro.topology.maximum_matching``);
+  matching (``repro.topology.structure.maximum_matching``);
 * the reshaped in-place Möbius transform equals the boolean-mask loop
   it replaced, bit for bit, and inverts the subset-sum transform.
 
@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from repro.core.exact import _matching_served_per_subset, _moebius_in_place
-from repro.topology import maximum_matching
+from repro.topology.structure import maximum_matching
 
 
 @st.composite

@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.topology import ConnectionStructure, build_network
+from repro.topology.factory import build_network
 from repro.topology.recognize import Recognition, recognize
+from repro.topology.structure import ConnectionStructure
 
 
 def _row_sets(memory_bus):

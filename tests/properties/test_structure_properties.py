@@ -24,13 +24,12 @@ from hypothesis import given, strategies as st
 
 from repro.core.exact import exact_bandwidth
 from repro.core.request_models import UniformRequestModel
-from repro.topology import (
-    ConnectionStructure,
-    StructureNetwork,
+from repro.topology.generators import (
     canonical_generator_spec,
     generate_structure,
     normalize_generator_spec,
 )
+from repro.topology.structure import ConnectionStructure, StructureNetwork
 
 TOL = 1e-9
 

@@ -8,8 +8,9 @@ trip, probe and recover on the identical schedule.
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.exceptions import BreakerOpenError, ConfigurationError
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience.breaker import (
     CLOSED,
     HALF_OPEN,

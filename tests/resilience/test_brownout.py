@@ -10,8 +10,9 @@ from collections import deque
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.exceptions import ConfigurationError
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience.brownout import BrownoutGovernor, BrownoutPolicy
 
 

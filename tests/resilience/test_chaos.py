@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.analysis.parallel import (
     ResultCache,
     _simulated_cell,
@@ -22,7 +21,10 @@ from repro.analysis.parallel import (
     parallel_map,
     sweep_cell_specs,
 )
-from repro.fabric import FabricConfig, FabricCoordinator, FabricJob
+from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+from repro.fabric.jobs import FabricJob
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience.retry import RetryPolicy
 
 SWEEP = dict(scheme="full", N=8, bus_counts=[2, 4], rates=[0.5, 1.0])

@@ -8,8 +8,9 @@ what actually remains.
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.exceptions import ConfigurationError, DeadlineExceededError
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience.deadline import (
     DEADLINE_HEADER,
     ENV_DEADLINE_MS,

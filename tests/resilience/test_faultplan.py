@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro import build_manifest, telemetry
 from repro.exceptions import ChaosError, ConfigurationError
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import telemetry
 from repro.resilience import chaos
 from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import AdmissionError, ConfigurationError
-from repro.obs import telemetry
-from repro.resilience import RetryPolicy
-from repro.service import AdmissionController, TokenBucket
+from repro.obs.metrics import telemetry
+from repro.resilience.retry import RetryPolicy
+from repro.service.admission import AdmissionController, TokenBucket
 
 
 class FakeClock:

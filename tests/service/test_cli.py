@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs import disable_telemetry
+from repro.obs.metrics import disable_telemetry
 from repro.service import cli
 
 

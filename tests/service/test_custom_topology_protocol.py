@@ -21,7 +21,7 @@ from repro.exceptions import (
     QueryTooLargeError,
     ReproError,
 )
-from repro.service import QueryEngine
+from repro.service.engine import QueryEngine
 from repro.service.protocol import (
     ServiceLimits,
     error_envelope,

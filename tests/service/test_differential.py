@@ -31,7 +31,7 @@ import pytest
 from repro.analysis.batch import scheme_bus_profile
 from repro.analysis.evaluate import analytic_bandwidth
 from repro.exceptions import ConfigurationError
-from repro.service import QueryEngine
+from repro.service.engine import QueryEngine
 from repro.service.protocol import Query, build_model, parse_query
 from repro.topology.factory import build_network
 

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs import telemetry
-from repro.service import QueryEngine
+from repro.obs.metrics import telemetry
+from repro.service.engine import QueryEngine
 from repro.service.protocol import parse_query
 
 

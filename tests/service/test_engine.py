@@ -16,12 +16,9 @@ from repro.analysis.batch import scheme_bus_profile
 from repro.analysis.evaluate import analytic_bandwidth
 from repro.core.request_models import UniformRequestModel
 from repro.exceptions import AdmissionError, ConfigurationError
-from repro.obs import telemetry
-from repro.service import (
-    AdmissionController,
-    QueryEngine,
-    TokenBucket,
-)
+from repro.obs.metrics import telemetry
+from repro.service.admission import AdmissionController, TokenBucket
+from repro.service.engine import QueryEngine
 from repro.service.protocol import parse_query
 from repro.topology.factory import build_network
 

@@ -18,14 +18,10 @@ import time
 
 import pytest
 
-from repro.service import (
-    AdmissionController,
-    BandwidthService,
-    QueryEngine,
-    ServiceLimits,
-    TokenBucket,
-)
-from repro.service.http import _Connection
+from repro.service.admission import AdmissionController, TokenBucket
+from repro.service.engine import QueryEngine
+from repro.service.http import BandwidthService, _Connection
+from repro.service.protocol import ServiceLimits
 
 
 async def _roundtrip(port, raw: bytes, keep_reader=None):
@@ -121,7 +117,7 @@ def test_metrics_exports_service_series():
         }))
         return await _roundtrip(port, b"GET /metrics HTTP/1.1\r\n\r\n")
 
-    from repro.obs import telemetry
+    from repro.obs.metrics import telemetry
 
     async def run(port):
         return await scenario(port)

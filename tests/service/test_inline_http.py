@@ -31,13 +31,15 @@ import pytest
 
 from repro.analysis.batch import scheme_bus_profile
 from repro.core.request_models import UniformRequestModel
-from repro.obs import telemetry
+from repro.obs.metrics import telemetry
 from repro.resilience import chaos
 from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
 from repro.resilience.brownout import BrownoutGovernor, BrownoutPolicy
 from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
-from repro.service import AdmissionController, BandwidthService, QueryEngine
+from repro.service.admission import AdmissionController
 from repro.service.batching import BatchWindow
+from repro.service.engine import QueryEngine
+from repro.service.http import BandwidthService
 
 QUERY = {"scheme": "full", "N": 16, "M": 16, "B": 8, "r": 0.5}
 SWEEP = {"scheme": "kclass", "N": 16, "M": 16, "B": [2, 4, 8, 20], "r": 0.75}

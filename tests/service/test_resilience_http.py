@@ -22,7 +22,8 @@ from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
 from repro.resilience.brownout import BrownoutGovernor, BrownoutPolicy
 from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
 from repro.resilience.deadline import DEADLINE_HEADER
-from repro.service import BandwidthService, QueryEngine
+from repro.service.engine import QueryEngine
+from repro.service.http import BandwidthService
 
 QUERY = {"scheme": "full", "N": 16, "M": 16, "B": 8, "r": 0.5}
 

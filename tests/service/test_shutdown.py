@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro.exceptions import ServiceStoppingError
-from repro.service import BandwidthService, QueryEngine
+from repro.service.engine import QueryEngine
+from repro.service.http import BandwidthService
 from repro.service.protocol import parse_query
 
 QUERY = {"scheme": "full", "N": 16, "M": 16, "B": 8, "r": 0.5}

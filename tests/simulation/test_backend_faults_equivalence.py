@@ -24,8 +24,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.request_models import UniformRequestModel
-from repro.faults import fail_buses
-from repro.obs import telemetry
+from repro.faults.injection import fail_buses
+from repro.obs.metrics import telemetry
 from repro.simulation.engine import MultiprocessorSimulator
 from repro.topology.factory import build_network
 

@@ -15,13 +15,11 @@ from repro.core.hierarchy import paper_two_level_model
 from repro.core.request_models import MatrixRequestModel, UniformRequestModel
 from repro.exceptions import SimulationError
 from repro.simulation.engine import MultiprocessorSimulator, simulate_bandwidth
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 CYCLES = 15_000
 

@@ -8,7 +8,8 @@ from repro.core.request_models import UniformRequestModel
 from repro.core.resubmission import solve_resubmission_equilibrium
 from repro.exceptions import SimulationError
 from repro.simulation.resubmission import ResubmissionSimulator
-from repro.topology import FullBusMemoryNetwork, SingleBusMemoryNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 class TestResubmissionSimulator:

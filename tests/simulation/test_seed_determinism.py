@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.parallel import spawn_seeds
 from repro.analysis.sweep import paper_model_pair
 from repro.simulation.engine import (
     MultiprocessorSimulator,
     derive_streams,
     simulate_bandwidth,
 )
+from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network
 
 N = 8

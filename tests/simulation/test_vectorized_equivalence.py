@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sweep import paper_model_pair
-from repro.arbitration import assignment_for
+from repro.arbitration.bus_arbiter import assignment_for
 from repro.core.priority import ArbitrationSpec
 from repro.exceptions import SimulationError
 from repro.simulation.engine import MultiprocessorSimulator, derive_streams

@@ -20,13 +20,11 @@ from repro.analysis.evaluate import analytic_bandwidth
 from repro.core.exact import exact_bandwidth
 from repro.core.hierarchy import HierarchicalRequestModel
 from repro.core.request_models import UniformRequestModel
-from repro.topology import (
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
 from repro.topology.factory import equal_class_sizes
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 @st.composite

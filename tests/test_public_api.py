@@ -1,50 +1,54 @@
-"""The public surface: imports, __all__, and the quickstart path."""
+"""The README's library paths, imported from the modules that define them."""
 
 import pytest
 
 import repro
+from repro import exceptions
+from repro.analysis.compare import compare_schemes
+from repro.analysis.evaluate import analytic_bandwidth
+from repro.core.hierarchy import paper_two_level_model
+from repro.faults.analysis import verify_fault_tolerance_degree
+from repro.faults.injection import fail_buses
+from repro.simulation.engine import simulate_bandwidth
+from repro.topology.cost import cost_report
+from repro.topology.factory import build_network
+from repro.topology.full import FullBusMemoryNetwork
 
 
 class TestPublicSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
-
     def test_exception_hierarchy(self):
         for exc in (
-            repro.ConfigurationError,
-            repro.ModelError,
-            repro.SimulationError,
-            repro.FaultError,
-            repro.ExperimentError,
+            exceptions.ConfigurationError,
+            exceptions.ModelError,
+            exceptions.SimulationError,
+            exceptions.FaultError,
+            exceptions.ExperimentError,
         ):
-            assert issubclass(exc, repro.ReproError)
+            assert issubclass(exc, exceptions.ReproError)
             assert issubclass(exc, Exception)
 
     def test_quickstart_path(self):
         # The README's four-line quickstart must work verbatim.
-        net = repro.FullBusMemoryNetwork(16, 16, 8)
-        model = repro.paper_two_level_model(16, rate=1.0)
-        analytic = repro.analytic_bandwidth(net, model)
+        net = FullBusMemoryNetwork(16, 16, 8)
+        model = paper_two_level_model(16, rate=1.0)
+        analytic = analytic_bandwidth(net, model)
         assert analytic == pytest.approx(7.99, abs=0.01)
-        result = repro.simulate_bandwidth(net, model, n_cycles=2_000, seed=0)
+        result = simulate_bandwidth(net, model, n_cycles=2_000, seed=0)
         assert result.bandwidth == pytest.approx(analytic, abs=0.2)
 
     def test_scheme_comparison_path(self):
-        rows = repro.compare_schemes(
-            16, 8, repro.paper_two_level_model(16)
-        )
+        rows = compare_schemes(16, 8, paper_two_level_model(16))
         assert rows[0].scheme in ("full", "crossbar")
 
     def test_cost_report_path(self):
-        report = repro.cost_report(repro.build_network("single", 8, 8, 4))
+        report = cost_report(build_network("single", 8, 8, 4))
         assert report.connections == 40
 
     def test_fault_path(self):
-        net = repro.build_network("partial", 8, 8, 4)
-        degraded = repro.fail_buses(net, {0})
+        net = build_network("partial", 8, 8, 4)
+        degraded = fail_buses(net, {0})
         assert degraded.failed_buses == (0,)
-        assert repro.verify_fault_tolerance_degree(net) == 1
+        assert verify_fault_tolerance_degree(net) == 1

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.factory import (
     build_network,
     equal_class_sizes,
     paper_figure_networks,
 )
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 class TestEqualClassSizes:

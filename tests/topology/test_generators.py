@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.topology import (
+from repro.topology.generators import (
     GENERATOR_KINDS,
     canonical_generator_spec,
     generate_structure,
     normalize_generator_spec,
-    recognize,
 )
+from repro.topology.recognize import recognize
 
 ALL_KINDS = set(GENERATOR_KINDS)
 

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.topology import (
-    CrossbarNetwork,
-    FullBusMemoryNetwork,
-    KClassPartialBusNetwork,
-    PartialBusNetwork,
-    SingleBusMemoryNetwork,
-)
+from repro.topology.crossbar import CrossbarNetwork
+from repro.topology.full import FullBusMemoryNetwork
+from repro.topology.kclass import KClassPartialBusNetwork
+from repro.topology.partial import PartialBusNetwork
+from repro.topology.single import SingleBusMemoryNetwork
 
 
 class TestBaseInvariants:

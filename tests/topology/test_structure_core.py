@@ -12,16 +12,18 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.topology import (
-    ConnectionStructure,
-    MatchingOracle,
+from repro.topology.factory import build_network
+from repro.topology.generators import generate_structure
+from repro.topology.recognize import (
     Recognition,
-    StructureNetwork,
-    build_network,
     clear_recognition_cache,
-    generate_structure,
     recognize,
     recognize_cached,
+)
+from repro.topology.structure import (
+    ConnectionStructure,
+    MatchingOracle,
+    StructureNetwork,
     structure_of,
 )
 

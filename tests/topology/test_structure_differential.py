@@ -34,12 +34,12 @@ from repro.core.exact import _matching_served_per_subset, exact_bandwidth
 from repro.core.hierarchy import paper_two_level_model
 from repro.core.request_models import UniformRequestModel
 from repro.simulation.structure import simulate_structure_bandwidth
-from repro.topology import (
+from repro.topology.factory import build_network
+from repro.topology.generators import generate_structure
+from repro.topology.recognize import recognize
+from repro.topology.structure import (
     StructureNetwork,
-    build_network,
-    generate_structure,
     maximum_matching,
-    recognize,
     structure_of,
 )
 

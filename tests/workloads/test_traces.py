@@ -6,7 +6,7 @@ import pytest
 from repro.core.request_models import UniformRequestModel
 from repro.exceptions import SimulationError
 from repro.simulation.engine import MultiprocessorSimulator
-from repro.topology import FullBusMemoryNetwork
+from repro.topology.full import FullBusMemoryNetwork
 from repro.workloads.generator import FixedRequestGenerator, ModelRequestGenerator
 from repro.workloads.traces import RequestTrace, record_trace
 
