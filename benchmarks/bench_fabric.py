@@ -1,9 +1,10 @@
-"""Fabric scaling harness: sharded workers vs the in-process executor.
+"""Fabric scaling harness: sharded workers vs the job run in process.
 
 Runs one CPU-heavy simulated sweep (E9-style grid: ``full`` scheme,
 four bus counts x four request rates x both request models) through
 
-* the single-process executor (``parallel_map``, the ground truth), and
+* the built plan in one process (``JobPlan.run_in_process``, the
+  ground truth), and
 * the fabric at 1, 2 and 4 workers,
 
 and writes ``BENCH_fabric.json`` with wall-clock, speedup and
@@ -11,7 +12,7 @@ per-worker efficiency for each width, plus the bit-identity verdict.
 
 Two properties are asserted unconditionally:
 
-* every fabric run returns records ``==`` the serial ones (the
+* every fabric run returns records ``==`` the in-process ones (the
   deterministic-sharding contract), and
 * the report carries one shard per worker with no retries or deaths.
 
@@ -32,13 +33,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.parallel import (
-    _simulated_cell,
-    parallel_map,
-    sweep_cell_specs,
-)
 from repro.fabric.coordinator import FabricConfig, FabricCoordinator
-from repro.fabric.jobs import FabricJob
+from repro.fabric.jobs import FabricJob, build_job
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fabric.json"
 
@@ -52,7 +48,6 @@ WORKLOAD = dict(
     rates=[0.25, 0.5, 0.75, 1.0],
     n_cycles=120_000,
     seed=7,
-    backend="auto",
 )
 
 
@@ -64,20 +59,11 @@ def _usable_cores() -> int:
 
 
 def test_fabric_scaling():
-    specs = sweep_cell_specs(
-        WORKLOAD["scheme"],
-        WORKLOAD["N"],
-        bus_counts=WORKLOAD["bus_counts"],
-        rates=WORKLOAD["rates"],
-        n_cycles=WORKLOAD["n_cycles"],
-        seed=WORKLOAD["seed"],
-        backend=WORKLOAD["backend"],
-    )
+    job = FabricJob(kind="sweep", params=dict(WORKLOAD))
     t0 = time.perf_counter()
-    serial = parallel_map(_simulated_cell, specs)
+    serial = build_job(job).run_in_process()
     serial_seconds = time.perf_counter() - t0
 
-    job = FabricJob(kind="sweep", params=dict(WORKLOAD))
     widths = {}
     bit_identical = True
     for n_workers in (1, 2, 4):

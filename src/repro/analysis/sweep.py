@@ -9,16 +9,18 @@ by cell: for each (rate, model) pair the whole bus-count vector is
 computed from one cached pmf by :mod:`repro.analysis.batch`, and no
 network object is constructed per cell.  Structurally invalid cells —
 the paper tables' blank entries — are no longer silently dropped either:
-the ``*_with_skips`` variants return them as
-:class:`~repro.analysis.batch.SkippedCell` records, and the classic
-functions log them on this module's logger.
+:func:`bandwidth_sweep_with_skips` returns them as
+:class:`~repro.analysis.batch.SkippedCell` records, and
+:func:`bandwidth_sweep` logs them on this module's logger.  One scheme's
+bandwidth as a function of ``B`` alone is
+:func:`~repro.analysis.batch.scheme_bus_profile`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from repro.analysis.batch import SkippedCell, scheme_bus_profile
 from repro.core.hierarchy import paper_two_level_model
@@ -30,8 +32,6 @@ __all__ = [
     "SweepResult",
     "bandwidth_sweep",
     "bandwidth_sweep_with_skips",
-    "bus_count_sweep",
-    "bus_count_sweep_with_skips",
     "paper_model_pair",
 ]
 
@@ -176,48 +176,3 @@ def bandwidth_sweep(
     _log_skips(result.skipped)
     return result.records
 
-
-def bus_count_sweep_with_skips(
-    scheme: str,
-    n_processors: int,
-    model: RequestModel,
-    bus_counts: Iterable[int] | None = None,
-    **network_kwargs,
-) -> tuple[dict[int, float], list[SkippedCell]]:
-    """Bandwidth as a function of ``B``, plus the audited skipped counts.
-
-    The whole profile comes from a single cached pmf and one whole-grid
-    kernel — no network object is built per bus count.
-    """
-    if bus_counts is None:
-        bus_counts = range(1, n_processors + 1)
-    with span("sweep.bus_count", scheme=scheme, N=n_processors):
-        profile = scheme_bus_profile(
-            scheme,
-            n_processors,
-            model.n_memories,
-            [int(b) for b in bus_counts],
-            model,
-            **network_kwargs,
-        )
-    return profile.values, profile.skipped
-
-
-def bus_count_sweep(
-    scheme: str,
-    n_processors: int,
-    model: RequestModel,
-    bus_counts: Iterable[int] | None = None,
-    **network_kwargs,
-) -> dict[int, float]:
-    """Bandwidth as a function of ``B`` for one scheme and model.
-
-    ``bus_counts`` defaults to ``1..N``; invalid counts are skipped (and
-    logged at DEBUG level — use :func:`bus_count_sweep_with_skips` to
-    inspect them programmatically).
-    """
-    values, skipped = bus_count_sweep_with_skips(
-        scheme, n_processors, model, bus_counts, **network_kwargs
-    )
-    _log_skips(skipped)
-    return values

@@ -150,16 +150,13 @@ class ChaosError(ReproError):
 class RetryExhaustedError(ReproError):
     """A retried operation kept failing through its whole retry budget.
 
-    Raised by the serial sweep executor
-    (:func:`repro.analysis.parallel.parallel_map` with a
-    :class:`~repro.resilience.retry.RetryPolicy`) and by the fabric
-    coordinator once ``max_attempts`` is spent.
-    The final underlying failure is chained as ``__cause__`` and also
-    kept in :attr:`last_error`.
+    Raised by the fabric coordinator
+    (:class:`~repro.fabric.coordinator.FabricCoordinator`) once its
+    :class:`~repro.resilience.retry.RetryPolicy`'s ``max_attempts`` is
+    spent on a slice.  Cells already gathered stay in its result cache;
+    the failing cells' errors are in the ``fabric.cell_error`` events.
     """
 
-    def __init__(self, message: str, attempts: int = 0,
-                 last_error: BaseException | None = None):
+    def __init__(self, message: str, attempts: int = 0):
         super().__init__(message)
         self.attempts = attempts
-        self.last_error = last_error

@@ -10,17 +10,17 @@ submission rate and queueing delay the drop model cannot express.
 
 Each rate simulates under its own :class:`~numpy.random.SeedSequence`
 child spawned by sweep index from the experiment seed, so the records
-are identical serially and across any number of fabric workers.
+are identical in process and across any number of fabric workers.
 """
 
 from __future__ import annotations
 
 from repro.analysis.evaluate import analytic_bandwidth
-from repro.analysis.parallel import parallel_map
 from repro.analysis.tables import render_table
 from repro.core.hierarchy import paper_two_level_model
 from repro.core.resubmission import solve_resubmission_equilibrium
 from repro.experiments.base import ExperimentResult
+from repro.fabric.jobs import FabricJob, build_job
 from repro.simulation.resubmission import ResubmissionSimulator
 from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network
@@ -31,7 +31,7 @@ _RATES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 def _resubmission_cell(spec: dict) -> dict[str, object]:
-    """Worker: one rate of the sweep (module-level, picklable)."""
+    """Simulate one rate of the sweep."""
     network = build_network(
         "full", spec["N"], spec["N"], spec["B"]
     )
@@ -80,28 +80,24 @@ def run(
 ) -> ExperimentResult:
     """Sweep nominal rates on a full connection network.
 
-    ``n_workers > 1`` runs the rates as a fabric job across that many
-    worker processes; records are bit-identical to the serial run.
+    ``n_workers > 1`` runs the built fabric job across that many worker
+    processes; records are bit-identical to its in-process run.
     """
+    job = FabricJob(
+        kind="resubmission",
+        params={
+            "N": n_processors, "B": n_buses, "n_cycles": n_cycles,
+            "seed": seed,
+        },
+    )
     if n_workers is not None and n_workers > 1:
         from repro.fabric.coordinator import FabricConfig, FabricCoordinator
-        from repro.fabric.jobs import FabricJob
 
-        job = FabricJob(
-            kind="resubmission",
-            params={
-                "N": n_processors, "B": n_buses, "n_cycles": n_cycles,
-                "seed": seed,
-            },
-        )
         records = FabricCoordinator(
             job, FabricConfig(n_workers=n_workers)
         ).run().records
     else:
-        records = parallel_map(
-            _resubmission_cell,
-            resubmission_cells(n_processors, n_buses, n_cycles, seed),
-        )
+        records = build_job(job).run_in_process()
     rendered = render_table(
         records,
         title=(

@@ -21,8 +21,8 @@ This experiment therefore validates in two modes:
 
 Each (config, mode) cell simulates under its own
 :class:`~numpy.random.SeedSequence` child spawned by cell index from the
-experiment seed, so results are bit-identical whether cells run serially
-or across ``n_workers`` fabric processes.
+experiment seed, so results are bit-identical whether the built fabric
+job runs in process or across ``n_workers`` fabric processes.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.evaluate import analytic_bandwidth
-from repro.analysis.parallel import parallel_map
 from repro.analysis.sweep import paper_model_pair
 from repro.analysis.tables import render_table
 from repro.core.request_models import MatrixRequestModel
 from repro.experiments.base import ExperimentResult
+from repro.fabric.jobs import FabricJob, build_job
 from repro.simulation.engine import MultiprocessorSimulator
 from repro.simulation.seeds import spawn_seeds
 from repro.topology.factory import build_network
@@ -68,7 +68,7 @@ def independence_workload(
 
 
 def _validation_cell(spec: dict) -> dict[str, object]:
-    """Worker: simulate one (config, mode) cell (module-level, picklable)."""
+    """Simulate one (config, mode) cell."""
     scheme, n, b, kwargs = spec["config"]
     network = build_network(scheme, n, n, b, **kwargs)
     hier = paper_model_pair(n, 1.0)["hier"]
@@ -77,9 +77,7 @@ def _validation_cell(spec: dict) -> dict[str, object]:
         model = independence_workload(n, hier.symmetric_module_probability())
     else:
         model = hier
-    simulator = MultiprocessorSimulator(
-        network, model, seed=spec["seed"], backend=spec["backend"]
-    )
+    simulator = MultiprocessorSimulator(network, model, seed=spec["seed"])
     # The record reads only the bandwidth and its interval: skip
     # arbitration (bit-identical counts, see ``run_vectorized``).
     result = simulator.run(spec["n_cycles"], views=False)
@@ -101,18 +99,15 @@ def _validation_cell(spec: dict) -> dict[str, object]:
     return record
 
 
-def validation_cells(
-    n_cycles: int = 40_000, seed: int = 2024, backend: str = "auto"
-) -> list[dict]:
+def validation_cells(n_cycles: int = 40_000, seed: int = 2024) -> list[dict]:
     """The per-cell work specs of E9, seeds attached, config-outer order.
 
     A pure function of its arguments (per-cell seeds are spawned by
-    cell index), so the serial loop and the distributed fabric compute
-    bit-identical records from equal specs.
+    cell index), so any process computes bit-identical records from
+    equal specs.
     """
     cells = [
-        {"config": config, "mode": mode, "n_cycles": n_cycles,
-         "backend": backend}
+        {"config": config, "mode": mode, "n_cycles": n_cycles}
         for config in _CONFIGS
         for mode in _MODES
     ]
@@ -125,31 +120,25 @@ def run(
     n_cycles: int = 40_000,
     seed: int = 2024,
     n_workers: int | None = None,
-    backend: str = "auto",
 ) -> ExperimentResult:
     """Run both validation modes over representative configurations.
 
     ``n_workers > 1`` dispatches the cells across that many fabric
     worker *processes* (heartbeats, crash re-sharding —
-    see :mod:`repro.fabric`) instead of the in-process loop; records
-    are bit-identical either way.
+    see :mod:`repro.fabric`) instead of running the built job in
+    process; records are bit-identical either way.
     """
+    job = FabricJob(
+        kind="validation", params={"n_cycles": n_cycles, "seed": seed}
+    )
     if n_workers is not None and n_workers > 1:
         from repro.fabric.coordinator import FabricConfig, FabricCoordinator
-        from repro.fabric.jobs import FabricJob
 
-        job = FabricJob(
-            kind="validation",
-            params={"n_cycles": n_cycles, "seed": seed, "backend": backend},
-        )
         records = FabricCoordinator(
             job, FabricConfig(n_workers=n_workers)
         ).run().records
     else:
-        cells = validation_cells(
-            n_cycles=n_cycles, seed=seed, backend=backend
-        )
-        records = parallel_map(_validation_cell, cells)
+        records = build_job(job).run_in_process()
 
     rendered = render_table(
         records,

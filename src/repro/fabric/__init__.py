@@ -1,9 +1,11 @@
 """Distributed sweep fabric: sharded coordinator/worker execution.
 
 The paper's tables and figures are grids over (scheme, N, M, B, r,
-hierarchy) — embarrassingly shardable work.  This package is the only
-multi-process executor; :func:`repro.analysis.parallel.parallel_map` is
-its serial reference:
+hierarchy) — embarrassingly shardable work.  A
+:class:`~repro.fabric.jobs.FabricJob` is the one description of a
+simulated grid: its built :class:`~repro.fabric.jobs.JobPlan` runs in
+process (:meth:`~repro.fabric.jobs.JobPlan.run_in_process`, the
+reference) or across worker processes:
 
 * :mod:`repro.fabric.gridslice` — :class:`~repro.fabric.gridslice.Grid` /
   :class:`~repro.fabric.gridslice.GridSlice`, RangeSet-style compact
@@ -13,9 +15,9 @@ its serial reference:
 * :mod:`repro.fabric.wire` — the length-prefixed JSON frame protocol
   workers stream results and heartbeats over.
 * :mod:`repro.fabric.jobs` — :class:`~repro.fabric.jobs.FabricJob`, the
-  JSON-safe job descriptions the coordinator builds into a plan once
-  (per-cell seeds are spawned by grid position, so shard boundaries can
-  never change a record).
+  JSON-safe job descriptions (``sweep``, ``validation``,
+  ``resubmission``), built into a plan once (per-cell seeds are spawned
+  by grid position, so shard boundaries can never change a record).
 * :mod:`repro.fabric.worker` — the worker process, forked from the
   coordinator by :func:`~repro.fabric.worker.spawn_child` (POSIX
   ``os.fork``): evaluates the slices sent to it against the plan it
@@ -26,6 +28,6 @@ its serial reference:
   health via heartbeats, and re-shards only the lost slices of a dead
   worker through :mod:`repro.resilience.retry`.
 
-Results are bit-identical to the single-process executor for any worker
-count or crash/retry interleaving.
+Results are bit-identical to the in-process run for any worker count
+or crash/retry interleaving.
 """

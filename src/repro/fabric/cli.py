@@ -1,10 +1,15 @@
 """``repro-fabric`` — run a distributed Monte-Carlo sweep from the shell.
 
 Dispatches one sweep job across fabric worker processes and prints the
-records (rendered table or JSON) plus a shard/timing summary.  Axis
-flags accept the same compact range syntax GridSlice canonical strings
-use: ``--buses 2-16/2`` is buses 2, 4, ..., 16 and ``--rates
-0.25-1.0/0.25`` is the paper's rate grid; plain comma lists work too.
+records (rendered table or JSON) plus a shard/timing summary.  Every
+cell simulates the paper's two request models on an N x N network
+with the automatically chosen simulation backend.  Bad input (an axis,
+a non-positive size, cycle or worker count, an unknown scheme, a rate
+outside [0, 1]) exits 2 with a one-line message before any worker is
+forked.  Axis flags accept the same compact range syntax GridSlice
+canonical strings use: ``--buses 2-16/2`` is buses 2, 4, ..., 16 and
+``--rates 0.25-1.0/0.25`` is the paper's rate grid; plain comma lists
+work too.
 
 With ``--telemetry DIR`` the run executes under a live registry and
 writes the standard artifact trio (``manifest.json`` — including the
@@ -19,7 +24,11 @@ import json
 import sys
 import time
 
-from repro.exceptions import ConfigurationError, DeadlineExceededError
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExceededError,
+    ModelError,
+)
 from repro.fabric.coordinator import (
     FabricConfig,
     FabricCoordinator,
@@ -67,16 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-fabric",
         description=(
             "Run a Monte-Carlo bandwidth sweep across fabric worker "
-            "processes; records are bit-identical to the "
-            "single-process executor."
+            "processes; records are bit-identical for any worker "
+            "count."
         ),
     )
     parser.add_argument("--scheme", default="full",
                         help="connection scheme (default: full)")
     parser.add_argument("--N", type=int, default=16,
                         help="processor count")
-    parser.add_argument("--M", type=int, default=None,
-                        help="memory-module count (default: N)")
     parser.add_argument("--buses", default="2-8/2", metavar="SPEC",
                         help="bus-count axis, e.g. 2-16/2 or 2,4,8")
     parser.add_argument("--rates", default="0.25-1.0/0.25", metavar="SPEC",
@@ -86,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed (per-cell seeds spawn from it "
                         "by grid index)")
-    parser.add_argument("--backend", default="auto",
-                        choices=("auto", "loop", "vectorized"))
     parser.add_argument("--workers", type=int, default=4,
                         help="fabric worker processes")
     parser.add_argument("--cache", metavar="DIR", default=None,
@@ -119,41 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        bus_counts = parse_axis(args.buses, int)
-        rates = parse_axis(args.rates, float)
-    except ConfigurationError as exc:
-        print(f"repro-fabric: {exc}", file=sys.stderr)
-        return 2
-
-    params: dict = {
-        "scheme": args.scheme,
-        "N": args.N,
-        "bus_counts": bus_counts,
-        "rates": rates,
-        "n_cycles": args.cycles,
-        "seed": args.seed,
-        "backend": args.backend,
-    }
-    if args.M is not None:
-        params["M"] = args.M
-    try:
-        limits = FabricLimits(
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
+        params = {
+            "scheme": args.scheme,
+            "N": args.N,
+            "bus_counts": parse_axis(args.buses, int),
+            "rates": parse_axis(args.rates, float),
+            "n_cycles": args.cycles,
+            "seed": args.seed,
+        }
+        config = FabricConfig(
+            n_workers=args.workers,
+            limits=FabricLimits(
+                heartbeat_interval=args.heartbeat_interval,
+                heartbeat_timeout=args.heartbeat_timeout,
+            ),
         )
         plan = (
             chaos.FaultPlan.from_file(args.chaos_plan)
             if args.chaos_plan
             else None
         )
-    except ConfigurationError as exc:
+        # Building the job rejects a bad scheme, size, cycle count or
+        # rate before any worker is forked.
+        coordinator = FabricCoordinator(
+            FabricJob(kind="sweep", params=params), config, cache=args.cache
+        )
+    except (ConfigurationError, ModelError) as exc:
         print(f"repro-fabric: {exc}", file=sys.stderr)
         return 2
-    coordinator = FabricCoordinator(
-        FabricJob(kind="sweep", params=params),
-        FabricConfig(n_workers=args.workers, limits=limits),
-        cache=args.cache,
-    )
     deadline = (
         Deadline(args.deadline_ms)
         if args.deadline_ms is not None

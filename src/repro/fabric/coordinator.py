@@ -1,9 +1,11 @@
 """The fabric coordinator: shard, fan out, watch, re-shard, gather.
 
 :class:`FabricCoordinator` turns one :class:`~repro.fabric.jobs.FabricJob`
-into records bit-identical to the single-process executor's:
+into records bit-identical to the built plan's in-process run
+(:meth:`~repro.fabric.jobs.JobPlan.run_in_process`):
 
-1. **Build** the job locally (grid + cell map) and optionally satisfy
+1. **Build** the job locally (grid + cell map) when the coordinator is
+   constructed, so a bad parameter raises there, and optionally satisfy
    cells from a :class:`~repro.analysis.parallel.ResultCache` before any
    process spawns.
 2. **Shard** the remaining cells into balanced
@@ -21,8 +23,9 @@ into records bit-identical to the single-process executor's:
    Soft per-cell failures (an ERROR frame) retry the same way without
    costing a worker.  If every worker dies, the coordinator finishes
    the outstanding cells in-process rather than failing the run.
-4. **Gather** RESULT frames (streamed per cell) into grid order, flush
-   fresh records to the cache, and report shard map, per-worker
+4. **Gather** RESULT frames (streamed per cell) into grid order, write
+   each fresh record to the cache as it arrives (so a run stopped
+   midway keeps its completed cells), and report shard map, per-worker
    timings, retries and deaths — the ``"fabric"`` manifest section is
    digested from the metrics this emits.
 
@@ -41,7 +44,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.analysis.parallel import ResultCache, _as_cache
+from repro.analysis.parallel import ResultCache
 from repro.exceptions import ConfigurationError, RetryExhaustedError
 from repro.fabric import wire
 from repro.fabric.gridslice import GridSlice
@@ -59,7 +62,6 @@ __all__ = [
     "FabricConfig",
     "FabricCoordinator",
     "FabricReport",
-    "fabric_simulated_sweep",
 ]
 
 
@@ -143,13 +145,13 @@ class FabricConfig:
 class FabricReport:
     """What one fabric run did, in grid order.
 
-    ``records`` is ordered by flat grid index — exactly the order the
-    single-process executor emits — so callers can compare the two with
-    ``==``.  ``shard_map`` is one entry per WORK dispatch (re-shards
-    included), keyed by canonical slice strings; it is what lands in
-    the ``"fabric"`` manifest section's ``shards`` list.  ``n_workers``
-    counts the workers spawned: no more than the cells outstanding, and
-    zero when the cache served every cell.
+    ``records`` is ordered by flat grid index — exactly the order of
+    :meth:`~repro.fabric.jobs.JobPlan.run_in_process` — so callers can
+    compare the two with ``==``.  ``shard_map`` is one entry per WORK
+    dispatch (re-shards included), keyed by canonical slice strings; it
+    is what lands in the ``"fabric"`` manifest section's ``shards``
+    list.  ``n_workers`` counts the workers spawned: no more than the
+    cells outstanding, and zero when the cache served every cell.
     """
 
     records: list[dict]
@@ -178,7 +180,12 @@ class _Assignment:
 
 
 class FabricCoordinator:
-    """Run one job across a set of worker processes; see module docs."""
+    """Run one job across a set of worker processes; see module docs.
+
+    The constructor builds the job once: a bad parameter raises its
+    :class:`~repro.exceptions.ConfigurationError` or
+    :class:`~repro.exceptions.ModelError` here, before any worker exists.
+    """
 
     def __init__(
         self,
@@ -188,7 +195,12 @@ class FabricCoordinator:
     ):
         self.job = job
         self.config = config or FabricConfig()
-        self._cache = _as_cache(cache)
+        self._plan = build_job(job)
+        self._cache = (
+            ResultCache(cache)
+            if cache is not None and not isinstance(cache, ResultCache)
+            else cache
+        )
         self._frames: queue.Queue = queue.Queue()
         self._children: dict[int, WorkerProcess] = {}
         self._alive: set[int] = set()
@@ -389,7 +401,6 @@ class FabricCoordinator:
                 f"fabric slice {grid_slice.canonical()!r} failed after "
                 f"{attempt} attempt(s) ({reason})",
                 attempts=attempt,
-                last_error=None,
             )
         self._retries += 1
         self._registry.increment("fabric.retries", reason=reason)
@@ -465,7 +476,6 @@ class FabricCoordinator:
         heartbeats and retries.
         """
         self._deadline = deadline
-        self._plan = build_job(self.job)
         plan = self._plan
         all_indices = sorted(plan.cells)
         self._results: dict[int, dict] = {}
@@ -498,8 +508,6 @@ class FabricCoordinator:
                     self._gather(plan, outstanding)
                 finally:
                     self._teardown()
-                    if self._cache is not None:
-                        self._cache.flush()
 
         records = [self._results[index] for index in all_indices]
         return FabricReport(
@@ -650,55 +658,3 @@ class FabricCoordinator:
         for node in self._alive_ring():
             if now - self._last_seen[node] > timeout:
                 self._handle_death(node, "heartbeat-timeout")
-
-
-def fabric_simulated_sweep(
-    scheme: str,
-    n_processors: int,
-    bus_counts,
-    rates,
-    n_memories: int | None = None,
-    n_cycles: int = 20_000,
-    seed: int = 0,
-    backend: str = "auto",
-    n_workers: int = 4,
-    cache: "ResultCache | str | Path | None" = None,
-    retry_policy: RetryPolicy | None = None,
-    limits: FabricLimits | None = None,
-    deadline: Deadline | None = None,
-    **network_kwargs,
-) -> list[dict]:
-    """Monte-Carlo bandwidth sweep on the fabric; records in grid order.
-
-    The distributed counterpart of
-    :func:`repro.analysis.parallel.simulated_bandwidth_sweep`: identical
-    arguments produce ``==``-identical records, the work just runs
-    across ``n_workers`` fabric processes instead of in-process.
-    ``seed`` must be an int here (it travels as JSON in the job
-    description).  ``limits`` and ``deadline`` pass straight through to
-    :class:`FabricConfig` / :meth:`FabricCoordinator.run`.
-    """
-    params: dict = {
-        "scheme": scheme,
-        "N": n_processors,
-        "bus_counts": list(bus_counts),
-        "rates": list(rates),
-        "n_cycles": n_cycles,
-        "seed": seed,
-        "backend": backend,
-    }
-    if n_memories is not None:
-        params["M"] = n_memories
-    if network_kwargs:
-        params["network_kwargs"] = dict(network_kwargs)
-    config_kwargs: dict = {"n_workers": n_workers}
-    if retry_policy is not None:
-        config_kwargs["retry_policy"] = retry_policy
-    if limits is not None:
-        config_kwargs["limits"] = limits
-    coordinator = FabricCoordinator(
-        FabricJob(kind="sweep", params=params),
-        FabricConfig(**config_kwargs),
-        cache=cache,
-    )
-    return coordinator.run(deadline=deadline).records

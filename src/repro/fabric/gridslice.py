@@ -71,7 +71,7 @@ class Grid:
     the interval", which needs a total order); string axes keep their
     given order.  Flat cell indices enumerate the product row-major in
     axis order — the same nesting order the sweep builders use, so a
-    slice's sorted indices match the serial executor's record order.
+    slice's sorted indices match the in-process record order.
     """
 
     axes: tuple[tuple[str, tuple[object, ...]], ...]

@@ -1,9 +1,11 @@
 """JSON-safe fabric job descriptions and their grid/cell builders.
 
-A :class:`FabricJob` is a kind plus plain-JSON parameters.  The
-coordinator calls :func:`build_job` once; its forked workers inherit
-the built :class:`JobPlan`.  The builders are pure functions of their
-parameters, including the per-cell
+A :class:`FabricJob` is a kind plus plain-JSON parameters, and the one
+description of a simulated grid.  :func:`build_job` turns it into a
+:class:`JobPlan`, which runs either in process
+(:meth:`JobPlan.run_in_process`) or on workers: the coordinator builds
+the plan once and its forked workers inherit it.  The builders are pure
+functions of their parameters, including the per-cell
 :class:`~numpy.random.SeedSequence` spawning, so a cell's record does
 not depend on which process evaluates it.  Shards are addressed as
 :class:`~repro.fabric.gridslice.GridSlice` strings over the job's grid:
@@ -13,19 +15,20 @@ objects, which keeps frames tiny and makes shard maps diffable.
 Job kinds:
 
 * ``sweep`` — the Monte-Carlo bandwidth grid of
-  :func:`repro.analysis.parallel.simulated_bandwidth_sweep`: axes
-  ``(r, B, model)``, cells evaluated by ``_simulated_cell``.
+  :func:`repro.analysis.parallel.sweep_cell_specs` (``repro-fabric``):
+  axes ``(r, B, model)``, cells evaluated by ``_simulated_cell``.
 * ``validation`` — experiment E9's (config, mode) grid, evaluated by
   ``_validation_cell``.
 * ``resubmission`` — experiment E12's one-axis grid over ``r``,
   evaluated by ``_resubmission_cell``.
 
-``repro-experiments validation resubmission --workers N`` dispatches the
-last two.
+``repro-experiments validation resubmission`` builds the last two and
+runs them in process, or on ``--workers N`` fabric processes.
 
 Structurally invalid sweep cells (the paper tables' blank entries) are
 simply absent from the job's cell map, so the full work slice is the
-set of *valid* cells — exactly the records the serial executor emits.
+set of *valid* cells — exactly the records :meth:`JobPlan.run_in_process`
+returns.
 """
 
 from __future__ import annotations
@@ -40,13 +43,7 @@ from repro.analysis.sweep import paper_model_pair
 from repro.exceptions import ConfigurationError
 from repro.fabric.gridslice import Grid
 
-__all__ = ["FabricJob", "JobPlan", "build_job", "MODEL_FACTORIES"]
-
-#: Model factories addressable by name over the wire.  A job may only
-#: reference registered factories — workers never import arbitrary code.
-MODEL_FACTORIES: dict[str, Callable] = {
-    "paper_model_pair": paper_model_pair,
-}
+__all__ = ["FabricJob", "JobPlan", "build_job"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,6 +74,10 @@ class JobPlan:
     def run_cell(self, index: int) -> dict:
         """Evaluate one cell by grid index."""
         return self.evaluate(self.cells[index])
+
+    def run_in_process(self) -> list[dict]:
+        """Evaluate every cell here, in grid order: the fabric's records."""
+        return [self.run_cell(index) for index in sorted(self.cells)]
 
 
 def _chaos_wrap(evaluate: Callable, kill_marker: str) -> Callable:
@@ -147,32 +148,25 @@ def _build_sweep(params: dict) -> JobPlan:
         raise ConfigurationError(
             f"sweep job missing required parameter {exc.args[0]!r}"
         ) from None
+    n_cycles = int(params.get("n_cycles", 20_000))
+    if n_processors < 1 or n_cycles < 1:
+        raise ConfigurationError(
+            f"sweep job needs N >= 1 and n_cycles >= 1, got N={n_processors}, "
+            f"n_cycles={n_cycles}"
+        )
     _require_sorted("bus_counts", bus_counts)
     _require_sorted("rates", rates)
-    factory_name = params.get("model_factory", "paper_model_pair")
-    try:
-        factory = MODEL_FACTORIES[factory_name]
-    except KeyError:
-        known = ", ".join(sorted(MODEL_FACTORIES))
-        raise ConfigurationError(
-            f"unknown model factory {factory_name!r}; registered: {known}"
-        ) from None
-    n_memories = params.get("M")
-    network_kwargs = dict(params.get("network_kwargs", {}))
 
     specs = sweep_cell_specs(
         scheme,
         n_processors,
         bus_counts=bus_counts,
         rates=rates,
-        model_factory=factory,
-        n_memories=int(n_memories) if n_memories is not None else None,
-        n_cycles=int(params.get("n_cycles", 20_000)),
+        n_cycles=n_cycles,
         seed=params.get("seed", 0),
-        backend=params.get("backend", "auto"),
-        **network_kwargs,
+        **params.get("network_kwargs", {}),
     )
-    model_names = tuple(factory(n_processors, rates[0]).keys())
+    model_names = tuple(paper_model_pair(n_processors, rates[0]))
     grid = Grid(
         (
             ("r", tuple(rates)),
@@ -208,7 +202,6 @@ def _build_validation(params: dict) -> JobPlan:
     specs = validation_cells(
         n_cycles=int(params.get("n_cycles", 40_000)),
         seed=int(params.get("seed", 2024)),
-        backend=params.get("backend", "auto"),
     )
     grid = Grid(
         (

@@ -11,7 +11,7 @@ Every message between the fabric coordinator and a worker is one
 The codec byte is always ``0`` (JSON); a reader rejects any other
 value as a malformed frame.  JSON round-trips Python floats exactly via
 ``repr`` shortest-round-trip text, which is what lets fabric results be
-compared ``==`` against the single-process executor.
+compared ``==`` against the same job run in process.
 
 Frames are written whole under the caller's lock and read with
 blocking exact-length reads (:func:`read_raw_frame` /

@@ -1,12 +1,11 @@
-"""Retry policies with deterministic jitter for the sweep executors.
+"""Retry policies with deterministic jitter for the sweep fabric.
 
 Million-cell availability grids run for hours across worker processes;
 a single transient failure (a killed worker, a failing cell, a corrupt
 cache file) must cost one retry, not the whole sweep.  This module
-defines the policy object used by the serial
-:func:`repro.analysis.parallel.parallel_map` (per-cell retries) and the
-fabric coordinator (re-sharding the cells of a dead worker or a failed
-slice).
+defines the policy object the fabric coordinator
+(:class:`~repro.fabric.coordinator.FabricCoordinator`) uses to re-shard
+the cells of a dead worker or a failed slice.
 
 Determinism contract: backoff jitter is *hashed*, not drawn.  The delay
 before attempt ``k`` of a cell is a pure function of ``(policy, token,

@@ -1,4 +1,4 @@
-"""Sweep executors: serial vs fabric invariance, caching, seeds."""
+"""Simulated sweeps: in-process vs fabric invariance, caching, seeds."""
 
 from __future__ import annotations
 
@@ -8,61 +8,26 @@ import pytest
 
 from repro.analysis.parallel import (
     ResultCache,
-    parallel_map,
     seed_fingerprint,
-    simulated_bandwidth_sweep,
+    sweep_cell_specs,
 )
 from repro.exceptions import ConfigurationError
 from repro.experiments import resubmission, validation
-from repro.fabric.coordinator import fabric_simulated_sweep
+from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+from repro.fabric.jobs import FabricJob, build_job
 from repro.simulation.seeds import spawn_seeds
 
 CYCLES = 800
 
 
-def _square(x):
-    return x * x
-
-
-class TestParallelMap:
-    def test_preserves_order_serial(self):
-        assert parallel_map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_empty_items(self):
-        assert parallel_map(_square, []) == []
-
-    def test_cache_requires_params_function(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cache_params"):
-            parallel_map(_square, [1], cache=tmp_path / "unused")
-        assert not (tmp_path / "unused").exists()
-
-    def test_cache_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        params = lambda x: {"x": x}  # noqa: E731
-        first = parallel_map(_square, [2, 3], cache=cache, cache_params=params)
-        assert first == [4, 9]
-        assert len(cache) == 2
-        # Second pass is served from disk — even for a different callable.
-        second = parallel_map(
-            lambda x: -1, [2, 3], cache=cache, cache_params=params
-        )
-        assert second == [4, 9]
-        # A new key computes fresh.
-        third = parallel_map(
-            _square, [2, 4], cache=cache, cache_params=params
-        )
-        assert third == [4, 16]
-        assert len(cache) == 3
-
-    def test_cache_accepts_directory_path(self, tmp_path):
-        out = parallel_map(
-            _square,
-            [5],
-            cache=tmp_path / "sub",
-            cache_params=lambda x: {"x": x},
-        )
-        assert out == [25]
-        assert len(ResultCache(tmp_path / "sub")) == 1
+def _sweep(scheme, n, bus_counts, rates, **params) -> FabricJob:
+    return FabricJob(
+        kind="sweep",
+        params={
+            "scheme": scheme, "N": n, "bus_counts": bus_counts,
+            "rates": rates, "n_cycles": CYCLES, **params,
+        },
+    )
 
 
 class TestResultCache:
@@ -104,59 +69,55 @@ class TestSeeds:
 
 class TestSimulatedSweep:
     def test_worker_count_invariance(self):
-        kwargs = dict(n_cycles=CYCLES, seed=11)
-        serial = simulated_bandwidth_sweep("full", 8, [2, 4], [1.0], **kwargs)
-        fabric = fabric_simulated_sweep(
-            "full", 8, [2, 4], [1.0], n_workers=2, **kwargs
-        )
-        assert serial == fabric
-        assert len(serial) == 4  # 2 bus counts x {hier, unif}
+        job = _sweep("full", 8, [2, 4], [1.0], seed=11)
+        in_process = build_job(job).run_in_process()
+        fabric = FabricCoordinator(job, FabricConfig(n_workers=2)).run()
+        assert in_process == fabric.records
+        assert len(in_process) == 4  # 2 bus counts x {hier, unif}
 
     def test_unknown_network_kwarg_raises(self):
         # A misspelled (or removed) keyword must not read as a grid of
         # infeasible cells and come back as an empty sweep.
         with pytest.raises(ConfigurationError, match="n_workers"):
-            simulated_bandwidth_sweep(
+            sweep_cell_specs(
                 "full", 8, [2, 4], [1.0], n_cycles=CYCLES, n_workers=4
             )
 
     def test_invalid_cells_skipped(self):
         # g=2 partial networks need even B: B=3 must be skipped like the
         # blank cells of the paper's tables.
-        records = simulated_bandwidth_sweep(
-            "partial", 8, [2, 3], [1.0], n_cycles=CYCLES, seed=1, n_groups=2
-        )
+        records = build_job(
+            _sweep("partial", 8, [2, 3], [1.0], seed=1,
+                   network_kwargs={"n_groups": 2})
+        ).run_in_process()
         assert {r["B"] for r in records} == {2}
 
     def test_records_carry_analytic_and_ci(self):
-        (record,) = simulated_bandwidth_sweep(
-            "crossbar",
-            4,
-            [4],
-            [1.0],
-            n_cycles=CYCLES,
-            seed=2,
-            model_factory=lambda n, r: {
-                "unif": __import__(
-                    "repro.core.request_models", fromlist=["UniformRequestModel"]
-                ).UniformRequestModel(n, n, rate=r)
-            },
-        )
-        assert record["model"] == "unif"
-        assert abs(record["bandwidth"] - record["analytic"]) <= 3 * max(
-            record["ci95"], 1e-3
-        )
+        records = build_job(
+            _sweep("crossbar", 8, [8], [1.0], seed=2)
+        ).run_in_process()
+        assert [r["model"] for r in records] == ["hier", "unif"]
+        for record in records:
+            assert record["M"] == record["N"] == 8
+            assert abs(record["bandwidth"] - record["analytic"]) <= 3 * max(
+                record["ci95"], 1e-3
+            )
 
     def test_cache_returns_identical_records(self, tmp_path):
-        kwargs = dict(n_cycles=CYCLES, seed=5, cache=tmp_path)
-        fresh = simulated_bandwidth_sweep("single", 8, [2], [0.5], **kwargs)
-        cached = simulated_bandwidth_sweep("single", 8, [2], [0.5], **kwargs)
-        assert fresh == cached
+        def run(seed):
+            return FabricCoordinator(
+                _sweep("single", 8, [2], [0.5], seed=seed),
+                FabricConfig(n_workers=1),
+                cache=tmp_path,
+            ).run()
+
+        fresh, cached = run(5), run(5)
+        assert fresh.records == cached.records
+        assert cached.cache_hits == len(fresh.records)
         # Changing the seed misses the cache (records differ).
-        other = simulated_bandwidth_sweep(
-            "single", 8, [2], [0.5], n_cycles=CYCLES, seed=6, cache=tmp_path
-        )
-        assert other != fresh
+        other = run(6)
+        assert other.cache_hits == 0
+        assert other.records != fresh.records
 
 
 class TestExperimentParallelism:

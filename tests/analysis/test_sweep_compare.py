@@ -7,8 +7,6 @@ from repro.analysis.sweep import (
     SweepResult,
     bandwidth_sweep,
     bandwidth_sweep_with_skips,
-    bus_count_sweep,
-    bus_count_sweep_with_skips,
     paper_model_pair,
 )
 from repro.analysis.tables import render_matrix, render_table
@@ -83,33 +81,6 @@ class TestSweepSkipAuditing:
         with caplog.at_level("DEBUG", logger="repro.analysis.sweep"):
             bandwidth_sweep("partial", 8, bus_counts=(3,), rates=(1.0,))
         assert any("skipping scheme=partial" in m for m in caplog.messages)
-
-    def test_bus_count_sweep_with_skips(self):
-        values, skipped = bus_count_sweep_with_skips(
-            "partial", 8, UniformRequestModel(8, 8), bus_counts=(2, 3, 4)
-        )
-        assert sorted(values) == [2, 4]
-        assert [c.n_buses for c in skipped] == [3]
-        assert values == bus_count_sweep(
-            "partial", 8, UniformRequestModel(8, 8), bus_counts=(2, 3, 4)
-        )
-
-
-class TestBusCountSweep:
-    def test_defaults_to_full_range(self):
-        out = bus_count_sweep("full", 8, UniformRequestModel(8, 8))
-        assert sorted(out) == list(range(1, 9))
-
-    def test_monotone_in_buses(self):
-        out = bus_count_sweep("full", 8, UniformRequestModel(8, 8))
-        values = [out[b] for b in sorted(out)]
-        assert values == sorted(values)
-
-    def test_explicit_bus_counts(self):
-        out = bus_count_sweep(
-            "single", 8, UniformRequestModel(8, 8), bus_counts=(2, 4)
-        )
-        assert sorted(out) == [2, 4]
 
 
 class TestCompareSchemes:

@@ -1,9 +1,9 @@
-"""End-to-end fabric tests: parity with the serial executor at several
+"""End-to-end fabric tests: parity with the in-process plan at several
 worker counts, crash re-sharding, retries and cache integration.
 
 The load-bearing property everywhere: per-cell seeds are spawned by
 grid index when the job is built, so records must be ``==``-identical
-to the single-process executor for any worker count, shard boundary,
+to the built plan run in process for any worker count, shard boundary,
 or crash/retry interleaving.
 """
 
@@ -12,17 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.parallel import (
-    _simulated_cell,
-    parallel_map,
-    sweep_cell_specs,
-)
 from repro.exceptions import ConfigurationError, RetryExhaustedError
 from repro.fabric.coordinator import (
     FabricConfig,
     FabricCoordinator,
     FabricLimits,
-    fabric_simulated_sweep,
 )
 from repro.fabric.jobs import FabricJob, build_job
 from repro.obs.manifest import build_manifest
@@ -36,7 +30,6 @@ SWEEP_KW = dict(
     rates=[0.5, 1.0],
     n_cycles=250,
     seed=11,
-    backend="auto",
 )
 
 
@@ -46,17 +39,8 @@ def _sweep_job(**extra) -> FabricJob:
 
 @pytest.fixture(scope="module")
 def serial_records():
-    """The single-process ground truth for SWEEP_KW."""
-    specs = sweep_cell_specs(
-        SWEEP_KW["scheme"],
-        SWEEP_KW["N"],
-        bus_counts=SWEEP_KW["bus_counts"],
-        rates=SWEEP_KW["rates"],
-        n_cycles=SWEEP_KW["n_cycles"],
-        seed=SWEEP_KW["seed"],
-        backend=SWEEP_KW["backend"],
-    )
-    return parallel_map(_simulated_cell, specs)
+    """The in-process ground truth for SWEEP_KW."""
+    return build_job(_sweep_job()).run_in_process()
 
 
 class TestTopology:
@@ -69,7 +53,7 @@ class TestJobs:
     def test_sweep_plan_matches_serial_enumeration(self, serial_records):
         plan = build_job(_sweep_job())
         assert sorted(plan.cells) == list(range(plan.grid.size))
-        # Grid order == the serial executor's record order.
+        # Grid order == the in-process record order.
         for position, index in enumerate(sorted(plan.cells)):
             spec = plan.cells[index]
             record = serial_records[position]
@@ -89,9 +73,10 @@ class TestJobs:
         with pytest.raises(ConfigurationError, match="unknown fabric job"):
             build_job(FabricJob(kind="nope", params={}))
 
-    def test_unknown_model_factory_rejected(self):
-        with pytest.raises(ConfigurationError, match="model factory"):
-            build_job(_sweep_job(model_factory="evil.import"))
+    @pytest.mark.parametrize("param", ["N", "n_cycles"])
+    def test_sweep_rejects_nonpositive_sizes(self, param):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            build_job(_sweep_job(**{param: 0}))
 
 
 class TestFabricParity:
@@ -173,18 +158,10 @@ class TestCacheIntegration:
         self, serial_records, tmp_path
     ):
         cache_dir = tmp_path / "cache"
-        first = fabric_simulated_sweep(
-            scheme=SWEEP_KW["scheme"],
-            n_processors=SWEEP_KW["N"],
-            bus_counts=SWEEP_KW["bus_counts"],
-            rates=SWEEP_KW["rates"],
-            n_cycles=SWEEP_KW["n_cycles"],
-            seed=SWEEP_KW["seed"],
-            backend=SWEEP_KW["backend"],
-            n_workers=2,
-            cache=cache_dir,
-        )
-        assert first == serial_records
+        first = FabricCoordinator(
+            _sweep_job(), FabricConfig(n_workers=2), cache=cache_dir
+        ).run()
+        assert first.records == serial_records
         coordinator = FabricCoordinator(
             _sweep_job(), FabricConfig(n_workers=2), cache=cache_dir
         )
@@ -194,35 +171,6 @@ class TestCacheIntegration:
         assert report.shard_map == []  # nothing left to dispatch
         assert coordinator.pids == {}  # no worker was ever spawned
         assert report.n_workers == 0
-
-    def test_fabric_shares_cache_identity_with_parallel_map(
-        self, serial_records, tmp_path
-    ):
-        # Records checkpointed by the in-process executor satisfy the
-        # fabric (same ResultCache key function), and vice versa.
-        cache_dir = tmp_path / "cache"
-        from repro.analysis.parallel import _simulated_cell_params
-
-        specs = sweep_cell_specs(
-            SWEEP_KW["scheme"],
-            SWEEP_KW["N"],
-            bus_counts=SWEEP_KW["bus_counts"],
-            rates=SWEEP_KW["rates"],
-            n_cycles=SWEEP_KW["n_cycles"],
-            seed=SWEEP_KW["seed"],
-            backend=SWEEP_KW["backend"],
-        )
-        parallel_map(
-            _simulated_cell,
-            specs,
-            cache=cache_dir,
-            cache_params=_simulated_cell_params,
-        )
-        report = FabricCoordinator(
-            _sweep_job(), FabricConfig(n_workers=2), cache=cache_dir
-        ).run()
-        assert report.records == serial_records
-        assert report.cache_hits == len(serial_records)
 
 
 class TestValidationExperiment:
@@ -236,6 +184,6 @@ class TestValidationExperiment:
 
 class TestRecordsAreJsonSafe:
     def test_fabric_records_survive_json(self, serial_records):
-        # The wire is JSON; serial records must round-trip exactly for
+        # The wire is JSON; in-process records must round-trip exactly for
         # the == parity contract to be meaningful.
         assert json.loads(json.dumps(serial_records)) == serial_records

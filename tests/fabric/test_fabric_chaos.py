@@ -3,24 +3,18 @@
 The acceptance property inherited from the fabric suite: per-cell seeds
 are spawned by grid index at job build, so *any* injected failure the
 re-shard path absorbs must leave the records ``==``-identical to the
-single-process executor.  The chaos plans here are fully derandomized
+built plan run in process.  The chaos plans here are fully derandomized
 (``calls`` triggers), so every run replays the same injection sequence,
 the same worker deaths, and the same breaker transitions.
 """
 
 import pytest
 
-from repro.analysis.parallel import (
-    _simulated_cell,
-    parallel_map,
-    sweep_cell_specs,
-)
 from repro.exceptions import ConfigurationError, DeadlineExceededError
 from repro.fabric.coordinator import (
     FabricConfig,
     FabricCoordinator,
     FabricLimits,
-    fabric_simulated_sweep,
 )
 from repro.fabric.gridslice import GridSlice
 from repro.fabric.jobs import FabricJob, build_job
@@ -37,7 +31,6 @@ SWEEP_KW = dict(
     rates=[0.5, 1.0],
     n_cycles=250,
     seed=11,
-    backend="auto",
 )
 
 
@@ -47,17 +40,8 @@ def _sweep_job(**extra) -> FabricJob:
 
 @pytest.fixture(scope="module")
 def serial_records():
-    """The single-process ground truth for SWEEP_KW."""
-    specs = sweep_cell_specs(
-        SWEEP_KW["scheme"],
-        SWEEP_KW["N"],
-        bus_counts=SWEEP_KW["bus_counts"],
-        rates=SWEEP_KW["rates"],
-        n_cycles=SWEEP_KW["n_cycles"],
-        seed=SWEEP_KW["seed"],
-        backend=SWEEP_KW["backend"],
-    )
-    return parallel_map(_simulated_cell, specs)
+    """The in-process ground truth for SWEEP_KW."""
+    return build_job(_sweep_job()).run_in_process()
 
 
 @pytest.fixture(autouse=True)
@@ -190,18 +174,10 @@ class TestChaosPlans:
 
 class TestDeadlines:
     def test_generous_deadline_changes_nothing(self, serial_records):
-        records = fabric_simulated_sweep(
-            SWEEP_KW["scheme"],
-            SWEEP_KW["N"],
-            bus_counts=SWEEP_KW["bus_counts"],
-            rates=SWEEP_KW["rates"],
-            n_cycles=SWEEP_KW["n_cycles"],
-            seed=SWEEP_KW["seed"],
-            backend=SWEEP_KW["backend"],
-            n_workers=2,
-            deadline=Deadline(60_000),
-        )
-        assert records == serial_records
+        report = FabricCoordinator(
+            _sweep_job(), FabricConfig(n_workers=2)
+        ).run(deadline=Deadline(60_000))
+        assert report.records == serial_records
 
     def test_expired_deadline_raises_structured_504(self):
         clock = FakeClock()

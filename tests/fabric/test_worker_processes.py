@@ -19,13 +19,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.parallel import (
-    _simulated_cell,
-    parallel_map,
-    sweep_cell_specs,
-)
 from repro.fabric.coordinator import FabricConfig, FabricCoordinator
-from repro.fabric.jobs import FabricJob
+from repro.fabric.jobs import FabricJob, build_job
 from repro.resilience import chaos
 from repro.resilience.chaos import FaultPlan, FaultRule, chaos_plan
 
@@ -40,7 +35,6 @@ SWEEP_KW = dict(
     rates=[0.25, 0.5, 0.75, 1.0],
     n_cycles=250,
     seed=3,
-    backend="auto",
 )
 
 
@@ -96,18 +90,40 @@ class TestSpawnCount:
         assert "2 cache hits" in lines[1]
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("--cycles", "0"),
+            ("--workers", "0"),
+            ("--scheme", "bogus"),
+            ("--rates", "1.5"),
+            ("--N", "0"),
+        ],
+        ids=lambda bad: "".join(bad),
+    )
+    def test_rejected_with_exit_2_before_any_worker(
+        self, bad, monkeypatch, capsys
+    ):
+        from repro.fabric import cli, coordinator
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was spawned for bad input")
+
+        monkeypatch.setattr(coordinator, "spawn_child", no_fork)
+        argv = ["--scheme", "full", "--N", "8", "--buses", "2",
+                "--rates", "0.5", "--cycles", "300", "--workers", "2",
+                "--json", *bad]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-fabric: ")
+        assert "Traceback" not in err
+
+
 class TestForkedWorkersStartBare:
     def test_workers_inherit_no_chaos_plan_and_are_reaped(self):
-        specs = sweep_cell_specs(
-            SWEEP_KW["scheme"],
-            SWEEP_KW["N"],
-            bus_counts=SWEEP_KW["bus_counts"],
-            rates=SWEEP_KW["rates"],
-            n_cycles=SWEEP_KW["n_cycles"],
-            seed=SWEEP_KW["seed"],
-            backend=SWEEP_KW["backend"],
-        )
-        serial = parallel_map(_simulated_cell, specs)
+        job = FabricJob(kind="sweep", params=dict(SWEEP_KW))
+        serial = build_job(job).run_in_process()
         # On a clean two-worker run the coordinator encodes exactly six
         # frames (two HELLO, two WORK, two shutdown), so calls 7 and up
         # of ``fabric.wire.encode`` can only be a worker's frames.  A
@@ -117,10 +133,7 @@ class TestForkedWorkersStartBare:
             FaultRule(site="fabric.wire.encode", kind="corrupt_frame",
                       calls=tuple(range(7, 64))),
         ))
-        coordinator = FabricCoordinator(
-            FabricJob(kind="sweep", params=dict(SWEEP_KW)),
-            FabricConfig(n_workers=2),
-        )
+        coordinator = FabricCoordinator(job, FabricConfig(n_workers=2))
         with chaos_plan(plan):
             report = coordinator.run()
             assert chaos.active_injections() == []

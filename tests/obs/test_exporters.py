@@ -189,8 +189,8 @@ class TestManifest:
 
     def test_resilience_section_digests_retry_counters(self):
         registry = MetricsRegistry()
-        registry.increment("parallel.retries", 2, reason="worker-crash")
-        registry.increment("parallel.retries", 1, reason="stall-timeout")
+        registry.increment("fabric.retries", 2, reason="worker-crash")
+        registry.increment("fabric.retries", 1, reason="stall-timeout")
         registry.increment(
             "parallel.disk_cache.quarantined", reason="unparseable"
         )

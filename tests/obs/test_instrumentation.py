@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis.parallel import parallel_map, simulated_bandwidth_sweep
 from repro.analysis.sweep import bandwidth_sweep_with_skips
 from repro.core.cache import pmf_cache
 from repro.core.request_models import UniformRequestModel
+from repro.fabric.coordinator import FabricConfig, FabricCoordinator
+from repro.fabric.jobs import FabricJob
 from repro.faults.injection import fail_buses
 from repro.obs.metrics import telemetry
 from repro.simulation.engine import simulate_bandwidth
@@ -143,53 +144,40 @@ class TestSweepInstrumentation:
             assert ends[0]["records"] == len(result.records)
 
 
-def _double(x):
-    return x * 2
-
-
-def _double_params(x):
-    return {"op": "double", "x": x}
+def _sweep_job() -> FabricJob:
+    return FabricJob(
+        kind="sweep",
+        params={"scheme": "full", "N": 8, "bus_counts": [2],
+                "rates": [1.0], "n_cycles": 50, "seed": 0},
+    )
 
 
 class TestParallelInstrumentation:
+    """A simulated sweep's disk cache and span, run on the fabric."""
+
     def test_disk_cache_hits_and_misses(self, tmp_path):
         with telemetry() as registry:
-            first = parallel_map(
-                _double, [1, 2, 3], cache=tmp_path, cache_params=_double_params
-            )
-            assert registry.counter_value("parallel.disk_cache.misses") == 3
-            assert registry.counter_value("parallel.disk_cache.hits") == 0
-            second = parallel_map(
-                _double, [1, 2, 3], cache=tmp_path, cache_params=_double_params
-            )
-            assert first == second == [2, 4, 6]
-            assert registry.counter_value("parallel.disk_cache.hits") == 3
-
-    def test_per_task_timings_are_recorded(self):
-        with telemetry() as registry:
-            parallel_map(_double, [1, 2, 3, 4])
-            assert registry.counter_value("parallel.tasks", mode="serial") == 4
-            summary = registry.histograms()[
-                ("parallel.task_seconds", (("mode", "serial"),))
-            ]
-            assert summary.count == 4
-            tasks = [
-                e for e in registry.events() if e["kind"] == "parallel.task"
-            ]
-            assert len(tasks) == 4
-            assert all(e["mode"] == "serial" for e in tasks)
-            assert all(e["seconds"] >= 0.0 for e in tasks)
+            first = FabricCoordinator(
+                _sweep_job(), FabricConfig(n_workers=1), cache=tmp_path
+            ).run()
+            assert registry.counter_value("fabric.cache_hits") == 0
+            assert registry.counter_value("fabric.results") == 2
+            second = FabricCoordinator(
+                _sweep_job(), FabricConfig(n_workers=1), cache=tmp_path
+            ).run()
+            assert first.records == second.records
+            assert registry.counter_value("fabric.cache_hits") == 2
+            assert registry.counter_value("fabric.results") == 2
 
     def test_simulated_sweep_runs_under_a_span(self):
         with telemetry() as registry:
-            records = simulated_bandwidth_sweep(
-                "full", 8, bus_counts=[2], rates=[1.0],
-                n_cycles=50, seed=0,
-            )
+            records = FabricCoordinator(
+                _sweep_job(), FabricConfig(n_workers=1)
+            ).run().records
             assert records
             starts = [
                 e for e in registry.events()
-                if e["kind"] == "span_start" and e["span"] == "sweep.simulated"
+                if e["kind"] == "span_start" and e["span"] == "fabric.run"
             ]
             assert len(starts) == 1
             assert starts[0]["cells"] == len(records)

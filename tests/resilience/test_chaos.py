@@ -2,27 +2,24 @@
 
 The acceptance scenario: a fabric sweep that loses a worker to SIGKILL
 mid-run *and* starts against a cache containing one corrupt entry must
-finish with records bit-identical to an undisturbed serial run, with the
-worker death, the re-shard and the quarantine visible in the
-observability manifest.  Determinism makes this checkable exactly:
-per-cell seeds are spawned by cell index before dispatch, so no
-crash/retry interleaving can change a record.
+finish with records bit-identical to the undisturbed job run in process,
+with the worker death, the re-shard and the quarantine visible in the
+observability manifest.  A sweep stopped by an exhausted retry budget
+keeps its completed cells in the cache and resumes from them.
+Determinism makes this checkable exactly: per-cell seeds are spawned by
+cell index before dispatch, so no crash/retry interleaving can change a
+record.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.parallel import (
-    ResultCache,
-    _simulated_cell,
-    _simulated_cell_params,
-    parallel_map,
-    sweep_cell_specs,
-)
+from repro.analysis.parallel import ResultCache, _simulated_cell_params
+from repro.exceptions import RetryExhaustedError
 from repro.fabric.coordinator import FabricConfig, FabricCoordinator
-from repro.fabric.jobs import FabricJob
+from repro.fabric.gridslice import Grid
+from repro.fabric.jobs import FabricJob, JobPlan, build_job
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import telemetry
 from repro.resilience.retry import RetryPolicy
@@ -30,41 +27,27 @@ from repro.resilience.retry import RetryPolicy
 SWEEP = dict(scheme="full", N=8, bus_counts=[2, 4], rates=[0.5, 1.0])
 
 
-def _specs(n_cycles=300):
-    return sweep_cell_specs(
-        SWEEP["scheme"], SWEEP["N"], bus_counts=SWEEP["bus_counts"],
-        rates=SWEEP["rates"], n_cycles=n_cycles, seed=11,
+def _job(n_cycles=300, **chaos) -> FabricJob:
+    return FabricJob(
+        kind="sweep", params=dict(SWEEP, n_cycles=n_cycles, seed=11, **chaos)
     )
-
-
-def _flaky_marker_cell(item):
-    """Serial-path worker: fails while its marker file exists."""
-    marker = Path(item["marker"])
-    if marker.exists():
-        marker.unlink()
-        raise OSError("transient unit failure")
-    return item["value"] * 2
 
 
 class TestChaosSweep:
     def test_killed_worker_and_corrupt_cache_still_bit_identical(
         self, tmp_path
     ):
-        reference = parallel_map(_simulated_cell, _specs())
+        plan = build_job(_job())
+        reference = plan.run_in_process()
 
         cache = ResultCache(tmp_path / "cache")
         # Pre-corrupt the cache entry of the first cell (grid index 0).
-        corrupt_key = cache.key(_simulated_cell_params(_specs()[0]))
+        corrupt_key = cache.key(_simulated_cell_params(plan.cells[0]))
         (cache.directory / f"{corrupt_key}.json").write_text("{not json")
         # Arm the kill switch: the first worker to claim it dies.
         marker = tmp_path / "kill-once"
         marker.write_text("armed")
-        job = FabricJob(
-            kind="sweep",
-            params=dict(
-                SWEEP, n_cycles=300, seed=11, kill_marker=str(marker)
-            ),
-        )
+        job = _job(kill_marker=str(marker))
 
         with telemetry() as registry:
             report = FabricCoordinator(
@@ -94,74 +77,59 @@ class TestChaosSweep:
         # The corrupt entry was recomputed and recached, verified this time.
         assert cache.get(corrupt_key) == reference[0]
 
-    def test_serial_retry_path_recovers_transient_failures(self, tmp_path):
-        markers = []
-        items = []
-        for i in range(3):
-            marker = tmp_path / f"flake-{i}"
-            marker.write_text("armed")
-            markers.append(marker)
-            items.append({"marker": str(marker), "value": i})
-
-        with telemetry() as registry:
-            results = parallel_map(
-                _flaky_marker_cell,
-                items,
-                retry_policy=RetryPolicy(
-                    max_attempts=2, backoff_seconds=0.0
-                ),
-            )
-            retries = registry.counter_total("parallel.retries")
-        assert results == [0, 2, 4]
-        assert retries == 3
-
     def test_without_policy_errors_propagate_unchanged(self):
-        def boom(_item):
+        # The in-process run has no retry policy: the first failure
+        # propagates as raised.
+        def boom(_spec):
             raise KeyError("original")
 
+        plan = JobPlan(grid=Grid((("x", (0,)),)), cells={0: {}}, evaluate=boom)
         with pytest.raises(KeyError):
-            parallel_map(boom, [1])
+            plan.run_in_process()
 
 
 class TestCheckpointResume:
     def test_interrupted_sweep_resumes_from_cache(self, tmp_path):
-        cells = _specs(n_cycles=200)
+        reference = build_job(_job(n_cycles=200)).run_in_process()
         cache = ResultCache(tmp_path / "cache")
 
-        # "Interrupted" run: only the first half completed and was cached.
-        first_half = parallel_map(
-            _simulated_cell,
-            cells[:2],
-            cache=cache,
-            cache_params=_simulated_cell_params,
-        )
-        assert len(cache) == 2
+        # "Interrupted" run: one cell fails on its only attempt, so the
+        # retry budget is spent; every other cell completed and was
+        # written to the cache as it arrived.
+        marker = tmp_path / "poison-once"
+        marker.touch()
+        with pytest.raises(RetryExhaustedError):
+            FabricCoordinator(
+                _job(n_cycles=200, poison_marker=str(marker)),
+                FabricConfig(
+                    n_workers=1,
+                    retry_policy=RetryPolicy(
+                        max_attempts=1, backoff_seconds=0.0
+                    ),
+                ),
+                cache=cache,
+            ).run()
+        completed = len(cache)
+        assert completed == len(reference) - 1
 
         # Resume over the full grid: cached cells load, the rest compute.
         with telemetry() as registry:
-            full = parallel_map(
-                _simulated_cell,
-                cells,
-                cache=cache,
-                cache_params=_simulated_cell_params,
-            )
-            hits = registry.counter_total("parallel.disk_cache.hits")
-            computed = registry.counter_total("parallel.tasks")
-        assert full[:2] == first_half
-        assert hits == 2
-        assert computed == len(cells) - 2
-        assert len(cache) == len(cells)
+            report = FabricCoordinator(
+                _job(n_cycles=200), FabricConfig(n_workers=1), cache=cache
+            ).run()
+            hits = registry.counter_total("fabric.cache_hits")
+            computed = registry.counter_total("fabric.results")
+        assert report.records == reference
+        assert hits == report.cache_hits == completed
+        assert computed == len(reference) - completed
+        assert len(cache) == len(reference)
 
-        # A third run is served entirely from disk.
-        with telemetry() as registry:
-            again = parallel_map(
-                _simulated_cell,
-                cells,
-                cache=cache,
-                cache_params=_simulated_cell_params,
-            )
-            assert registry.counter_total("parallel.tasks") == 0
-        assert again == full
+        # A third run is served entirely from disk, with no worker.
+        again = FabricCoordinator(
+            _job(n_cycles=200), FabricConfig(n_workers=1), cache=cache
+        ).run()
+        assert again.records == reference
+        assert again.n_workers == 0
 
 
 class TestChecksummedCache:
@@ -202,8 +170,15 @@ class TestChecksummedCache:
         assert cache.quarantined_files() == ["bad.json"]
         assert len(cache) == 0  # quarantine subdir not counted
 
-    def test_legacy_bare_values_still_readable(self, tmp_path):
+    def test_non_envelope_entry_quarantined_never_served(self, tmp_path):
+        # A bare value (no checksummed envelope) is never served: keys
+        # are SHA-256 of the params, so a stale file is recomputed.
         cache = ResultCache(tmp_path)
         (tmp_path / "old.json").write_text(json.dumps({"bw": 1.25}))
-        assert cache.get("old") == {"bw": 1.25}
-        assert cache.quarantined_files() == []
+        with telemetry() as registry:
+            assert cache.get("old", "fallback") == "fallback"
+            assert registry.counter_value(
+                "parallel.disk_cache.quarantined", reason="not-an-envelope"
+            ) == 1
+        assert "old" not in cache
+        assert cache.quarantined_files() == ["old.json"]

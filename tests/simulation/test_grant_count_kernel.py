@@ -21,11 +21,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis.parallel import (
-    _simulated_cell,
-    simulated_bandwidth_sweep,
-    sweep_cell_specs,
-)
+from repro.analysis.parallel import _simulated_cell, sweep_cell_specs
 from repro.analysis.sweep import paper_model_pair
 from repro.core.priority import ArbitrationSpec
 from repro.core.request_models import (
@@ -33,6 +29,7 @@ from repro.core.request_models import (
     MatrixRequestModel,
 )
 from repro.exceptions import SimulationError
+from repro.fabric.jobs import FabricJob, build_job
 from repro.simulation.engine import (
     MultiprocessorSimulator,
     derive_streams,
@@ -169,7 +166,6 @@ def test_sweep_records_match_arbitrated_runs(scheme, kwargs):
             spec["model"],
             n_cycles=spec["n_cycles"],
             seed=spec["seed"],
-            backend=spec["backend"],
         )
         assert record["bandwidth"] == arbitrated.bandwidth
         assert record["ci95"] == arbitrated.bandwidth_ci95
@@ -189,9 +185,13 @@ def test_two_worker_fabric_command_matches_serial_sweep():
         ],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    serial = simulated_bandwidth_sweep(
-        "kclass", 12, [4, 6], [0.3, 0.9], n_cycles=700, seed=5
-    )
+    serial = build_job(
+        FabricJob(
+            kind="sweep",
+            params={"scheme": "kclass", "N": 12, "bus_counts": [4, 6],
+                    "rates": [0.3, 0.9], "n_cycles": 700, "seed": 5},
+        )
+    ).run_in_process()
     assert json.loads(out.stdout) == json.loads(json.dumps(serial))
 
 
@@ -242,11 +242,8 @@ def test_spawn_seeds_is_repeatable_and_matches_a_fresh_spawn():
 
 
 def test_rerunning_a_spec_gives_the_same_record():
-    (spec,) = sweep_cell_specs(
-        "full", 12, [4], [0.5], n_cycles=800, seed=0,
-        model_factory=lambda n, r: {"unif": paper_model_pair(n, r)["unif"]},
-    )
-    assert _simulated_cell(spec) == _simulated_cell(spec)
+    for spec in sweep_cell_specs("full", 12, [4], [0.5], n_cycles=800, seed=0):
+        assert _simulated_cell(spec) == _simulated_cell(spec)
 
 
 def test_simulator_with_seed_sequence_reruns_identically():
